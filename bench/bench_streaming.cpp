@@ -1,10 +1,10 @@
-// Streaming vs batch engine on the survey-driven Boston city scene: wall
-// time, real-time factor, block throughput and peak RSS at 5 s / 30 s /
-// 120 s simulated. The point the numbers make: the batch engine's footprint
-// grows linearly with the run (it materialises every station render plus the
-// full RF composite) while the streaming engine's stays flat at its bounded
-// ring + decode windows — and pipelined block rendering costs no throughput
-// for the privilege.
+// The scene pipeline's two drivers on the survey-driven Boston city scene:
+// wall time, real-time factor, block throughput and peak RSS at 5 s / 30 s /
+// 120 s simulated. ScenarioEngine (reported as "batch") runs the pipeline
+// inline in exact mode, so its footprint grows linearly with the run (one
+// full-run render per station, whole-run decision windows), while
+// StreamingEngine's stays flat at its bounded ring + decode windows — and
+// pipelined block rendering costs no throughput for the privilege.
 //
 // Modes:
 //   (default)       all three durations, both engines, human-readable table

@@ -304,20 +304,19 @@ struct TagMacReport {
 /// What demand-driven rendering actually synthesized (see
 /// ScenarioEngineConfig::scene_rendering): totals versus the subset inside
 /// some receiver's tuned-channel neighborhood, plus the size of the shared
-/// block-staging scratch that replaced the old per-station padded copies.
+/// block-staging scratch.
 struct SceneRenderStats {
   std::size_t stations_total = 0;
   std::size_t stations_rendered = 0;
   std::size_t tags_total = 0;
   std::size_t tags_rendered = 0;
   /// Bytes of per-run staging scratch (one shared block when the render
-  /// length is not a whole number of streaming blocks, else zero). The old
-  /// engine instead copied and padded every station render.
+  /// length is not a whole number of streaming blocks, else zero).
   std::size_t scene_scratch_bytes = 0;
-  /// Peak bytes of streaming-engine buffering (ring slots, per-tag burst
+  /// Peak bytes of StreamingEngine buffering (ring slots, per-tag burst
   /// waveforms, decode windows, pilot decision buffers, loop-mode station
-  /// blocks). 0 under the batch engine. Independent of run duration — the
-  /// O(1)-memory guarantee the soak tests pin.
+  /// blocks). 0 under ScenarioEngine, which has no ring. Independent of run
+  /// duration — the O(1)-memory guarantee the soak tests pin.
   std::size_t streaming_peak_buffer_bytes = 0;
 };
 
@@ -367,9 +366,8 @@ enum class SceneRendering {
 // Everything the engines decide before any signal is synthesized — timeline
 // segmentation, waypoint geometry, per-segment station selection, payload
 // durations, the resolved MAC schedule and the per-pair link tables — is a
-// pure function of the Scenario, factored out so the signal-level
-// ScenarioEngine and the hybrid FleetEngine share one resolution
-// bit-identically.
+// pure function of the Scenario, factored out so the signal-level scene
+// pipeline and the hybrid FleetEngine share one resolution bit-identically.
 
 /// Effective noise floor (per 200 kHz) of a receiver: the explicit value
 /// when set, else the kind's default.
@@ -453,8 +451,8 @@ ScenarioPlan resolve_scenario_plan(const Scenario& scenario);
 
 /// Demand-driven scene pruning verdicts (see SceneRendering::kSparse): which
 /// stations and tags must actually be synthesized. A pure function of the
-/// scenario and its plan, factored out so the batch and streaming engines
-/// prune identically. Under kDense every flag is set.
+/// scenario and its plan, computed before any signal exists. Under kDense
+/// every flag is set.
 struct ScenePruning {
   std::vector<char> station_needed;  ///< parallel to the scene's stations
   std::vector<char> tag_needed;      ///< parallel to Scenario::tags
@@ -473,10 +471,12 @@ struct ScenarioEngineConfig {
   SceneRendering scene_rendering = SceneRendering::kSparse;
 };
 
-/// Renders and decodes scenarios. Stateless between runs; one shared station
-/// render per (StationConfig, duration) via fm::StationCache, pinned for the
-/// run through a StationCache::SceneScope so multi-station scenes never
-/// evict their own renders.
+/// Renders and decodes scenarios: the scene pipeline (core/scene_pipeline.h)
+/// driven inline on the calling thread — no ring, no threads, so it nests
+/// inside SweepRunner pools — with one exact render per station and global
+/// decisions taken over the whole run. Stateless between runs; one shared
+/// station render per (StationConfig, duration) via fm::StationCache, pinned
+/// for the run so multi-station scenes never evict their own renders.
 class ScenarioEngine {
  public:
   explicit ScenarioEngine(ScenarioEngineConfig config = {}) : config_(config) {}

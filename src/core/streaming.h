@@ -1,22 +1,18 @@
-// Streaming scenario engine: the batch ScenarioEngine's block renderer
-// refactored into a producer/consumer pipeline with O(1) memory in the run
-// duration. One producer thread renders the shared RF scene a 0.1 s block at
-// a time into a fixed ring of reusable per-receiver IQ buffers
-// (dsp::RingBuffer); consumer threads demodulate blocks incrementally
-// through persistent per-link state (fm::StereoStreamDecoder,
-// rx::StreamingBurstDemodulator, rx::RdsStreamDecoder, the streaming device
-// chains) — no full-run capture ever exists.
+// Streaming scenario engine: the threaded driver of the scene pipeline
+// (core/scene_pipeline.h). The calling thread renders the shared RF scene a
+// 0.1 s block at a time into a fixed ring of reusable per-receiver IQ
+// buffers (dsp::RingBuffer); consumer threads decode the blocks through each
+// receiver's persistent decode chain. No full-run capture ever exists, so
+// memory is O(1) in the run duration.
 //
-// Equivalence contract: for every committed golden scenario the streaming
-// engine's decoded ScenarioResult is byte-identical to ScenarioEngine::run
-// (pinned by tests/golden/test_streaming_equivalence.cpp), at any consumer
-// thread count. Two documented divergences exist only on runs longer than
-// the configured bounds, which no golden reaches:
-//   * global decisions (stereo pilot detect, the tuned station's whole-run
-//     RDS decode) are made from the first `decision_window` of the
-//     run instead of all of it;
-//   * station program content loops every `station_horizon` once the
-//     run outgrows the horizon (phase-continuous IQ via a persistent
+// ScenarioEngine drives the same pipeline inline, so both engines decode
+// byte-identical results at any consumer thread count (pinned on every
+// committed golden by tests/golden/test_streaming_equivalence.cpp), except
+// on runs longer than the configured bounds:
+//   * global decisions (stereo pilot detect, the tuned station's RDS) are
+//     made from the first `decision_window` of the run instead of all of it;
+//   * station program content loops every `station_horizon` once the run
+//     outgrows the horizon (phase-continuous IQ via a persistent
 //     per-station FmModulator), so a 10-minute soak run costs the memory of
 //     a 2 s render.
 #pragma once
@@ -58,12 +54,12 @@ struct StreamingConfig {
   /// the slowest consumer. Memory is ring_blocks * receivers * 192 KB.
   std::size_t ring_blocks = 8;
   /// Station render horizon. Runs no longer than this use one exact render
-  /// per station (bit-identical to the batch engine); longer runs render the
+  /// per station, as ScenarioEngine always does; longer runs render the
   /// horizon once and loop its MPX through a persistent modulator.
   units::Seconds station_horizon{2.0};
   /// Bound on the buffered global decisions (stereo pilot detect; the tuned
   /// station's capture-wide RDS window). <= 0 buffers the whole run, exactly
-  /// like the batch engine — and unbounded memory on long runs.
+  /// like ScenarioEngine — and unbounded memory on long runs.
   units::Seconds decision_window{4.0};
   /// Demand-driven (kSparse) vs exhaustive (kDense) scene synthesis, exactly
   /// as in ScenarioEngineConfig.
@@ -89,8 +85,8 @@ class StreamingEngine {
   const StreamingConfig& config() const { return config_; }
 
   /// Renders, streams and decodes one scenario. Throws
-  /// std::invalid_argument on inconsistent scenarios (same validation as the
-  /// batch engine) and propagates any worker-thread failure after shutting
+  /// std::invalid_argument on inconsistent scenarios (the shared plan's
+  /// validation) and propagates any worker-thread failure after shutting
   /// the pipeline down cleanly.
   ScenarioResult run(const Scenario& scenario) const;
 

@@ -157,6 +157,20 @@ void StereoStreamDecoder::drain(dsp::rvec& left, dsp::rvec& right) {
   pend_r_.erase(pend_r_.begin(), pend_r_.begin() + static_cast<std::ptrdiff_t>(len));
 }
 
+void StereoStreamDecoder::flush_decision(dsp::rvec& left, dsp::rvec& right) {
+  decide();
+  // Sized once for the whole window (push_back growth could double it).
+  pend_l_.reserve(decision_buf_.size());
+  pend_r_.reserve(decision_buf_.size());
+  process_chain(decision_buf_, left, right);
+  // The whole window just ran through the chain at once: release it and the
+  // window-sized scratch, so only block-sized state stays resident.
+  std::vector<float>().swap(decision_buf_);
+  std::vector<float>().swap(product_);
+  pend_l_.shrink_to_fit();
+  pend_r_.shrink_to_fit();
+}
+
 void StereoStreamDecoder::push(std::span<const float> mpx, dsp::rvec& left,
                                dsp::rvec& right) {
   std::size_t offset = 0;
@@ -167,9 +181,7 @@ void StereoStreamDecoder::push(std::span<const float> mpx, dsp::rvec& left,
                          mpx.begin() + static_cast<std::ptrdiff_t>(take));
     offset = take;
     if (decision_buf_.size() < decision_len_) return;
-    decide();
-    process_chain(decision_buf_, left, right);
-    std::vector<float>().swap(decision_buf_);  // decision memory is released
+    flush_decision(left, right);
   }
   process_chain(mpx.subspan(offset), left, right);
 }
@@ -178,9 +190,7 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
   if (!decided_) {
     // Capture ended inside the decision window (only possible when the
     // caller overstated the capture length): decide from what arrived.
-    decide();
-    process_chain(decision_buf_, left, right);
-    std::vector<float>().swap(decision_buf_);
+    flush_decision(left, right);
   }
   if (stereo_mode_) {
     // The one-shot decoder zero-pads the realigned side past the capture:

@@ -33,7 +33,7 @@ namespace fmbs::fm {
 class StereoStreamDecoder {
  public:
   /// `total_mpx_samples` — the capture length, known up front by the
-  /// streaming engine. `decision_window` bounds the pilot decision
+  /// scene pipeline. `decision_window` bounds the pilot decision
   /// (<= 0 uses the whole capture, exactly like the one-shot decoder); the
   /// window is clamped to the capture, so short runs always decide from
   /// everything the one-shot decoder would see.
@@ -59,6 +59,7 @@ class StereoStreamDecoder {
 
  private:
   void decide();
+  void flush_decision(dsp::rvec& left, dsp::rvec& right);
   void process_chain(std::span<const float> mpx, dsp::rvec& left,
                      dsp::rvec& right);
   void drain(dsp::rvec& left, dsp::rvec& right);

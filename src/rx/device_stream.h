@@ -1,6 +1,6 @@
 // Streaming (block-fed) counterparts of the device audio chains —
-// rx::apply_phone_chain and rx::apply_cabin_acoustics — for the streaming
-// scenario engine. Both one-shot chains are strictly per-sample causal
+// rx::apply_phone_chain and rx::apply_cabin_acoustics — for the scene
+// pipeline's decode chains. Both one-shot chains are strictly per-sample causal
 // (IIR filters, a sequentially drawn noise stream, delay-line reflections),
 // so a persistent-state block decomposition reproduces them bit-for-bit:
 // the filters carry their states, the RNG its position, the delay lines

@@ -1,11 +1,11 @@
 // Streaming (block-fed) counterpart of rx::demodulate_burst: a collector
 // that watches a receiver's decoded-audio stream, captures exactly the
-// window the one-shot router would slice out of the full capture, and scores
-// the burst once the window is complete — byte-identical to the batch path,
-// at O(burst) memory instead of O(run). The capture length must be known up
-// front (the streaming engine knows its padded block count before the first
-// sample), so truncated end-of-run windows resolve to the same bounds the
-// batch engine computes after the fact.
+// window demodulate_burst would slice out of the full capture, and scores
+// the burst once the window is complete — byte-identical to the one-shot
+// path, at O(burst) memory instead of O(run). The capture length must be
+// known up front (the scene pipeline knows its padded block count before
+// the first sample), so truncated end-of-run windows resolve to the same
+// bounds demodulate_burst computes on the full capture.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +36,8 @@ class StreamingBurstDemodulator {
   std::size_t buffer_bytes() const { return bounds_.length * sizeof(float); }
 
   /// Scores the collected window (call once, after window_complete() or at
-  /// end of stream — a truncated window scores exactly like the batch
-  /// engine's, because the bounds were clamped to the capture up front).
+  /// end of stream — a truncated window scores exactly like
+  /// demodulate_burst's, because the bounds were clamped up front).
   BurstReport finish() const;
 
  private:

@@ -30,7 +30,7 @@ class RdsStreamDecoder {
  public:
   /// Window selection matches decode_rds_link(mpx, rate, start, duration)
   /// against a capture of `capture_samples`: the capture length must be
-  /// known up front (the streaming engine knows its padded block count
+  /// known up front (the scene pipeline knows its padded block count
   /// before the first sample). `duration_seconds < 0` extends to the end of
   /// the capture; `max_window_seconds > 0` additionally caps the window.
   RdsStreamDecoder(double sample_rate, std::size_t capture_samples,

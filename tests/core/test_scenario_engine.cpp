@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "audio/tone.h"
@@ -523,6 +524,38 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   ok.duration = units::Seconds{0.2};
   ok.settle = units::Seconds{0.05};
   EXPECT_NO_THROW(resolve_scenario_plan(ok));
+
+  // Non-finite values pass every check written as `x <= bound`; they are
+  // rejected by name instead of running to nonsense BERs (or escaping as
+  // std::length_error from a NaN-sized allocation).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Scenario with_tag = ok;
+  with_tag.tags.emplace_back();
+  ASSERT_NO_THROW(resolve_scenario_plan(with_tag));
+
+  Scenario nan_position = with_tag;
+  nan_position.tags[0].position.x_m = nan;
+  EXPECT_THROW(resolve_scenario_plan(nan_position), std::invalid_argument);
+
+#ifdef NDEBUG
+  // Strong unit types assert finiteness at construction when assertions are
+  // live, so a NaN Seconds/Dbm only reaches the plan in release builds.
+  Scenario nan_duration = ok;
+  nan_duration.duration = units::Seconds{nan};
+  EXPECT_THROW(resolve_scenario_plan(nan_duration), std::invalid_argument);
+
+  Scenario inf_settle = ok;
+  inf_settle.settle = units::Seconds{std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(resolve_scenario_plan(inf_settle), std::invalid_argument);
+
+  Scenario nan_start = with_tag;
+  nan_start.tags[0].start = units::Seconds{nan};
+  EXPECT_THROW(resolve_scenario_plan(nan_start), std::invalid_argument);
+
+  Scenario nan_power = with_tag;
+  nan_power.tags[0].tag_power = units::Dbm{nan};
+  EXPECT_THROW(resolve_scenario_plan(nan_power), std::invalid_argument);
+#endif
 }
 
 }  // namespace
