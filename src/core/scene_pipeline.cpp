@@ -19,6 +19,7 @@
 #include "fm/stereo_stream.h"
 #include "rx/device_stream.h"
 #include "rx/fsk_stream.h"
+#include "rx/phone_chain.h"
 #include "rx/rds_stream.h"
 #include "rx/tuner.h"
 #include "tag/baseband.h"
@@ -98,9 +99,9 @@ struct ReceiverStream {
   std::optional<rx::RdsStreamDecoder> station_rds;  // while its window is open
   std::optional<rx::RdsLinkReport> station_rds_report;
   dsp::rvec left, right, mono;  // per-block audio scratch
-  /// keep_captures: the whole run's MPX and L/R, finished into the result's
-  /// capture at drain by the device chains of core::finish_receiver_capture.
-  std::optional<fm::ReceiverOutput> raw;
+  /// keep_captures: the whole run's MPX, L/R and device-chain mono, appended
+  /// block by block; drain() adds the device-chain stereo.
+  std::optional<ReceiverCapture> capture;
 
   ReceiverStream(const fm::StereoDecoderConfig& stereo_cfg, std::size_t padded,
                  units::Seconds decision_window)
@@ -177,15 +178,9 @@ void finalize_station_rds(const LinkContext& ctx, std::size_t r,
 }
 
 /// Feeds freshly decoded audio (rs.left/rs.right) through the device chain
-/// into every open burst collector.
+/// into every open burst collector (and the kept capture).
 void feed_audio(const LinkContext& ctx, std::size_t r, ReceiverStream& rs,
                 double now) {
-  if (rs.raw) {
-    rs.raw->audio.left.insert(rs.raw->audio.left.end(), rs.left.begin(),
-                              rs.left.end());
-    rs.raw->audio.right.insert(rs.raw->audio.right.end(), rs.right.begin(),
-                               rs.right.end());
-  }
   if (rs.left.empty()) return;
   rs.mono.resize(rs.left.size());
   for (std::size_t i = 0; i < rs.mono.size(); ++i) {
@@ -193,6 +188,14 @@ void feed_audio(const LinkContext& ctx, std::size_t r, ReceiverStream& rs,
   }
   if (rs.phone) rs.phone->process_inplace(rs.mono);
   if (rs.cabin) rs.cabin->process_inplace(rs.mono);
+  if (rs.capture) {
+    auto append = [](std::vector<float>& to, const dsp::rvec& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    append(rs.capture->fm.audio.left, rs.left);
+    append(rs.capture->fm.audio.right, rs.right);
+    append(rs.capture->mono.samples, rs.mono);
+  }
   push_open(ctx, r, rs.fsk, rs.mono, now);
 }
 
@@ -358,8 +361,9 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
       rs.phone.emplace(rx.phone, sdc.audio_rate);
     }
     if (options_.keep_captures) {
-      rs.raw.emplace();
-      rs.raw->audio.sample_rate = sdc.audio_rate;
+      rs.capture.emplace();
+      rs.capture->fm.audio.sample_rate = sdc.audio_rate;
+      rs.capture->mono.sample_rate = sdc.audio_rate;
     }
     const auto decim =
         static_cast<std::size_t>(sdc.mpx_rate / sdc.audio_rate + 0.5);
@@ -617,7 +621,10 @@ void ScenePipeline::consume(std::size_t r, std::size_t index,
   const double now = static_cast<double>(index + 1) * kBlockSeconds;
   ReceiverStream& rs = *streams_[r];
   const dsp::rvec mpx = rs.demod.process(iq);
-  if (rs.raw) rs.raw->mpx.insert(rs.raw->mpx.end(), mpx.begin(), mpx.end());
+  if (rs.capture) {
+    rs.capture->fm.mpx.insert(rs.capture->fm.mpx.end(), mpx.begin(),
+                              mpx.end());
+  }
   if (rs.station_rds) {
     rs.station_rds->push(mpx);
     if (rs.station_rds->window_complete()) {
@@ -648,13 +655,18 @@ void ScenePipeline::drain(std::size_t r) {
   for (FskCollector& c : rs.fsk) {
     if (!c.done) finalize(ctx, r, c, now);
   }
-  if (rs.raw) {
-    rs.raw->stereo_mode = rs.stereo.stereo_mode();
-    rs.raw->pilot_snr_db = rs.stereo.pilot_snr_db();
-    const ScenarioReceiver& rx = scenario_.receivers[r];
-    result_.receivers[r].capture =
-        finish_receiver_capture(*rs.raw, rx.kind, rx.phone, rx.cabin);
-    rs.raw.reset();
+  if (rs.capture) {
+    // The mono capture is the device-chain stream the FSK collectors
+    // decoded. A phone records both channels through matched chains; a car's
+    // cabin microphone records one mono mix.
+    ReceiverCapture& cap = *rs.capture;
+    cap.fm.stereo_mode = rs.stereo.stereo_mode();
+    cap.fm.pilot_snr_db = rs.stereo.pilot_snr_db();
+    cap.stereo = rs.phone ? rx::apply_phone_chain(
+                                cap.fm.audio, scenario_.receivers[r].phone)
+                          : audio::StereoBuffer::dual_mono(cap.mono);
+    result_.receivers[r].capture = std::move(cap);
+    rs.capture.reset();
   }
 }
 

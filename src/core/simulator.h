@@ -53,12 +53,4 @@ struct SimulationResult {
 SimulationResult simulate(const SystemConfig& config, const dsp::rvec& tag_baseband,
                           units::Seconds duration);
 
-/// Applies the receiving device's audio chain (phone record path or car
-/// cabin acoustics) to a raw FM receiver output. Shared by the single-tag
-/// simulator and the multi-tag core::ScenarioEngine.
-ReceiverCapture finish_receiver_capture(const fm::ReceiverOutput& out,
-                                        ReceiverKind kind,
-                                        const rx::PhoneChainConfig& phone,
-                                        const rx::CabinConfig& cabin);
-
 }  // namespace fmbs::core

@@ -137,23 +137,17 @@ dsp::rvec modulate_rds_subcarrier(std::span<const unsigned char> bits,
 }
 
 RdsDecodeResult decode_rds(std::span<const float> mpx, double sample_rate) {
-  RdsDecodeResult result;
-  if (mpx.empty()) return result;
-  const double bit_period = sample_rate / kRdsBitRateHz;
-  if (static_cast<double>(mpx.size()) < 8.0 * bit_period) return result;
-
   // 1) Complex downconversion of the 57 kHz subcarrier. The simulation
   // shares one sample clock, so the residual is a constant phase rotation,
-  // recovered below with a BPSK squaring estimator.
-  dsp::Mixer mixer(-kRdsCarrierHz, sample_rate);
+  // recovered below with a BPSK squaring estimator. Too-short captures
+  // return an empty result from decode_rds_baseband's length guards.
+  dsp::Mixer mixer(kRdsFrontEndMixHz, sample_rate);
   dsp::cvec z(mpx.size());
   for (std::size_t i = 0; i < mpx.size(); ++i) z[i] = dsp::cfloat(mpx[i], 0.0F);
   mixer.process_inplace(z);
-  dsp::FirFilter<dsp::cfloat> lp(
-      dsp::fir_design_lowpass(101, 2400.0 / sample_rate));
-  dsp::cvec base = lp.process(z);
-
-  return decode_rds_baseband(base, sample_rate);
+  dsp::FirFilter<dsp::cfloat> lp(dsp::fir_design_lowpass(
+      kRdsFrontEndTaps, kRdsFrontEndCutoffHz / sample_rate));
+  return decode_rds_baseband(lp.process(z), sample_rate);
 }
 
 RdsDecodeResult decode_rds_baseband(std::span<const dsp::cfloat> base,

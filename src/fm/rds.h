@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -83,15 +84,23 @@ struct RdsDecodeResult {
   std::size_t blocks_failed = 0;  // post-sync blocks failing the syndrome
 };
 
+/// The RDS receive front end, shared by decode_rds and the block-fed
+/// rx::RdsStreamDecoder: a complex mixer at kRdsFrontEndMixHz (-57 kHz)
+/// brings the subcarrier to DC, then a kRdsFrontEndTaps-tap low-pass with a
+/// kRdsFrontEndCutoffHz cutoff filters it at the full MPX rate.
+inline constexpr double kRdsFrontEndMixHz = -kRdsCarrierHz;
+inline constexpr std::size_t kRdsFrontEndTaps = 101;
+inline constexpr double kRdsFrontEndCutoffHz = 2400.0;
+
 /// Demodulates and decodes RDS from a composite MPX signal.
 RdsDecodeResult decode_rds(std::span<const float> mpx, double sample_rate);
 
 /// Decodes RDS from an already-downconverted 57 kHz baseband (the output of
-/// decode_rds's front end: mix by -57 kHz, 2.4 kHz low-pass, full rate).
-/// This is the global half of the decoder — phase estimate, symbol-timing
-/// search, differential decode, block sync — split out so a streaming front
-/// end (rx::RdsStreamDecoder) can filter block by block and run these
-/// stages once at window close, byte-identical to the one-shot decode_rds.
+/// the front end above). This is the global half of the decoder — phase
+/// estimate, symbol-timing search, differential decode, block sync — split
+/// out so a streaming front end (rx::RdsStreamDecoder) can filter block by
+/// block and run these stages once at window close. Captures shorter than
+/// eight bit periods decode to an empty result.
 RdsDecodeResult decode_rds_baseband(std::span<const dsp::cfloat> base,
                                     double sample_rate);
 

@@ -41,7 +41,10 @@ struct StereoDecodeResult {
   double pilot_snr_db = 0.0;    // measured pilot-to-adjacent-noise ratio
 };
 
-/// One-shot decode of a composite MPX buffer.
+/// One-shot decode of a composite MPX buffer: pushes the whole buffer
+/// through an fm::StereoStreamDecoder (whole-capture pilot decision) and
+/// finishes it. Throws std::invalid_argument on an empty buffer or an
+/// mpx_rate that is not an integer multiple of audio_rate.
 StereoDecodeResult decode_stereo(std::span<const float> mpx,
                                  const StereoDecoderConfig& config);
 

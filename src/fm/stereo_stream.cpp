@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "dsp/goertzel.h"
 #include "dsp/math_util.h"
@@ -43,9 +44,12 @@ StereoStreamDecoder::StereoStreamDecoder(const StereoDecoderConfig& config,
 void StereoStreamDecoder::decide() {
   const double rate = cfg_.mpx_rate;
   const std::span<const float> mpx(decision_buf_);
-  // Pilot measurement, verbatim from the one-shot decoder — over the
-  // decision window instead of the whole capture (identical whenever the
-  // window covers the capture, which it does for every golden scenario).
+  // Pilot measurement. Real pilot detectors integrate over short windows (a
+  // PLL lock detector with a few-hundred-Hz bandwidth), so the detection SNR
+  // is pilot power against the noise inside that bandwidth — this is what
+  // makes weak-signal receivers "default back to mono mode" (paper section
+  // 5.3). 8 ms windows approximate a ~125 Hz detector; their median over the
+  // decision window decides the mode once.
   const double flank_lo = kPilotHz - 600.0;
   const double flank_hi = kPilotHz + 600.0;
   const auto window = static_cast<std::size_t>(0.008 * rate);
@@ -103,9 +107,10 @@ void StereoStreamDecoder::process_chain(std::span<const float> mpx,
     product_.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t g = processed_ + j;
-      // 38 kHz carrier regeneration, sample by sample as in the one-shot
-      // decoder; the ring holds the last `delay_` carrier values so the
-      // product stays phase-coherent with the delayed subband.
+      // 38 kHz carrier regeneration from the pilot's envelope-normalised
+      // cos(theta): cos(2 theta) = 2 cos^2 - 1. The subband band-pass delays
+      // the subcarrier by `delay_` samples, so the ring holds the last
+      // `delay_` carrier values to keep the product phase-coherent.
       const float p = pilot_bp_->process_sample(mpx[j]);
       const float e2 = env_lp_->process_sample(p * p) * 2.0F;
       const float amp = std::sqrt(std::max(e2, 1e-12F));
@@ -193,9 +198,8 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
     flush_decision(left, right);
   }
   if (stereo_mode_) {
-    // The one-shot decoder zero-pads the realigned side past the capture:
-    // the last `delay_` outputs carry side = 0 and the mids still in the
-    // ring.
+    // The realigned side is zero-padded past the capture: the last `delay_`
+    // outputs carry side = 0 and the mids still in the ring.
     const std::size_t tail = std::min(processed_, delay_);
     for (std::size_t i = processed_ - tail; i < processed_; ++i) {
       const float m = mid_hist_[i % delay_] * inv_level_;
@@ -205,8 +209,18 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
     }
   }
   drain(left, right);
-  // Anything still pending is shorter than one decimation stride — the
-  // one-shot decoder trims exactly the same remainder.
+  // Anything still pending is shorter than one decimation stride: trimmed.
+}
+
+StereoDecodeResult decode_stereo(std::span<const float> mpx,
+                                 const StereoDecoderConfig& config) {
+  StereoStreamDecoder stream(config, mpx.size());  // rejects an empty buffer
+  dsp::rvec left, right;
+  stream.push(mpx, left, right);
+  stream.finish(left, right);
+  return {audio::StereoBuffer(std::move(left), std::move(right),
+                              config.audio_rate),
+          stream.stereo_mode(), stream.pilot_snr_db()};
 }
 
 }  // namespace fmbs::fm

@@ -1,15 +1,16 @@
-// Streaming (block-fed) counterpart of fm::decode_stereo. The one-shot
-// decoder makes exactly one global decision — is the 19 kHz pilot present? —
-// from the median of short-window pilot SNRs over the whole capture; every
-// other stage is a causal per-sample chain. The streaming decoder therefore
-// buffers MPX only until a bounded decision window fills, decides once, and
-// from then on streams the identical chain (mono low-pass; pilot band-pass +
-// envelope + 38 kHz regeneration, stereo subband product, side low-pass,
-// 63-sample realignment; matrix, per-channel decimation, optional
-// de-emphasis) with persistent filter state — byte-identical to the one-shot
-// decoder whenever the decision window covers the capture (every committed
-// golden scenario), and O(window) memory on long runs where the one-shot
-// decoder would hold the whole MPX.
+// Block-fed stereo decoder — the library's one stereo decode chain;
+// fm::decode_stereo is a push-everything-then-finish wrapper over it. The
+// decoder makes exactly one global decision — is the 19 kHz pilot present?
+// — from the median of short-window pilot SNRs over a bounded decision
+// window; every other stage is a causal per-sample chain. It therefore
+// buffers MPX only until the decision window fills, decides once, and from
+// then on streams the chain (mono low-pass; pilot band-pass + envelope +
+// 38 kHz regeneration, stereo subband product, side low-pass, 63-sample
+// realignment; matrix, per-channel decimation, optional de-emphasis) with
+// persistent filter state. With the window covering the capture (the
+// default, and every committed golden scenario) any block split decodes
+// bit-identically to the whole capture in one block; a bounded window
+// keeps long runs at O(window) memory.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +35,8 @@ class StereoStreamDecoder {
  public:
   /// `total_mpx_samples` — the capture length, known up front by the
   /// scene pipeline. `decision_window` bounds the pilot decision
-  /// (<= 0 uses the whole capture, exactly like the one-shot decoder); the
-  /// window is clamped to the capture, so short runs always decide from
-  /// everything the one-shot decoder would see.
+  /// (<= 0 uses the whole capture); the window is clamped to the capture,
+  /// so short runs always decide from the whole capture.
   StereoStreamDecoder(const StereoDecoderConfig& config,
                       std::size_t total_mpx_samples,
                       units::Seconds decision_window = units::Seconds{-1.0});

@@ -26,7 +26,9 @@ struct CabinConfig {
   double mic_lowpass_hz = 14000.0;
 };
 
-/// Applies the cabin speaker -> microphone path to receiver audio.
+/// Applies the cabin speaker -> microphone path to receiver audio: the
+/// whole buffer through one rx::CabinAcousticsStream (rx/device_stream.h).
+/// Throws std::invalid_argument on empty input.
 audio::MonoBuffer apply_cabin_acoustics(const audio::MonoBuffer& in,
                                         const CabinConfig& config = {},
                                         std::uint64_t noise_seed = 7);

@@ -24,9 +24,9 @@ PhoneChainStream::PhoneChainStream(const PhoneChainConfig& config,
 }
 
 void PhoneChainStream::process_inplace(std::span<float> audio) {
-  // Same per-index order as apply_phone_chain's three passes: the cascade
-  // never touches the RNG and the AGC sees the noise-added stream, so
-  // interleaving the passes per block keeps every sequence identical.
+  // Three passes per block: the cascade never touches the RNG and the AGC
+  // sees the noise-added stream, so the per-block passes produce the same
+  // sequences as three passes over the whole stream.
   for (auto& v : audio) v = lowpass_.process_sample(v);
   if (add_noise_) {
     for (auto& v : audio) v += noise_(rng_);

@@ -1,10 +1,11 @@
-// Streaming (block-fed) counterparts of the device audio chains —
-// rx::apply_phone_chain and rx::apply_cabin_acoustics — for the scene
-// pipeline's decode chains. Both one-shot chains are strictly per-sample causal
-// (IIR filters, a sequentially drawn noise stream, delay-line reflections),
-// so a persistent-state block decomposition reproduces them bit-for-bit:
-// the filters carry their states, the RNG its position, the delay lines
-// their input history across block boundaries.
+// Block-fed device audio chains — the library's one implementation of the
+// phone recording path and the car cabin re-recording; the one-shot
+// rx::apply_phone_chain and rx::apply_cabin_acoustics are wrappers that run
+// a whole buffer through one block. Both chains are strictly per-sample
+// causal (IIR filters, a sequentially drawn noise stream, delay-line
+// reflections), so the filters carry their states, the RNG its position and
+// the delay lines their input history across block boundaries: any block
+// split of a stream produces the same samples.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +21,9 @@
 
 namespace fmbs::rx {
 
-/// Block-fed phone recording chain (one channel), bit-identical to
-/// apply_phone_chain on the concatenated stream.
+/// Block-fed phone recording chain (one channel): Butterworth low-pass,
+/// codec noise, optional AGC. Throws std::invalid_argument when the cutoff
+/// is at or above Nyquist.
 class PhoneChainStream {
  public:
   PhoneChainStream(const PhoneChainConfig& config, double sample_rate,
@@ -38,8 +40,8 @@ class PhoneChainStream {
   std::optional<dsp::Agc> agc_;
 };
 
-/// Block-fed cabin speaker -> microphone path, bit-identical to
-/// apply_cabin_acoustics on the concatenated stream.
+/// Block-fed cabin speaker -> microphone path: direct sound plus two
+/// reflections, engine rumble, microphone band limits.
 class CabinAcousticsStream {
  public:
   CabinAcousticsStream(const CabinConfig& config, double sample_rate,

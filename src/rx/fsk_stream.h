@@ -1,11 +1,10 @@
-// Streaming (block-fed) counterpart of rx::demodulate_burst: a collector
-// that watches a receiver's decoded-audio stream, captures exactly the
-// window demodulate_burst would slice out of the full capture, and scores
-// the burst once the window is complete — byte-identical to the one-shot
-// path, at O(burst) memory instead of O(run). The capture length must be
-// known up front (the scene pipeline knows its padded block count before
-// the first sample), so truncated end-of-run windows resolve to the same
-// bounds demodulate_burst computes on the full capture.
+// Block-fed FSK burst decoder: a collector that watches a receiver's
+// decoded-audio stream, keeps exactly the burst's demodulation window
+// (rx::burst_window_bounds) and scores the burst once the window is
+// complete, at O(burst) memory instead of O(run). The capture length must
+// be known up front (the scene pipeline knows its padded block count before
+// the first sample), so a window truncated by the end of the run resolves
+// to the same bounds as one cut from the whole capture.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,8 @@ class StreamingBurstDemodulator {
   std::size_t buffer_bytes() const { return bounds_.length * sizeof(float); }
 
   /// Scores the collected window (call once, after window_complete() or at
-  /// end of stream — a truncated window scores exactly like
-  /// demodulate_burst's, because the bounds were clamped up front).
+  /// end of stream — a truncated window scores like the same slice of the
+  /// whole capture, because the bounds were clamped up front).
   BurstReport finish() const;
 
  private:

@@ -63,21 +63,4 @@ BurstReport score_burst_window(const audio::MonoBuffer& window,
   return report;
 }
 
-BurstReport demodulate_burst(const audio::MonoBuffer& capture,
-                             const BurstSpec& burst) {
-  const double fs = capture.sample_rate;
-  const BurstWindowBounds bounds =
-      burst_window_bounds(burst, fs, capture.size());
-  audio::MonoBuffer window({}, fs);
-  if (bounds.valid) {
-    window = audio::MonoBuffer(
-        std::vector<float>(
-            capture.samples.begin() + static_cast<std::ptrdiff_t>(bounds.begin),
-            capture.samples.begin() +
-                static_cast<std::ptrdiff_t>(bounds.begin + bounds.length)),
-        fs);
-  }
-  return score_burst_window(window, burst, bounds.valid);
-}
-
 }  // namespace fmbs::rx

@@ -1,9 +1,10 @@
 // Multi-tag demodulation routing: one FM receiver capture may carry several
 // tag transmissions (bursts) — concurrent tags on the same backscatter
 // channel (ALOHA), or one tag's scheduled packets. Each burst is an expected
-// transmission with a known start offset inside the continuous capture; the
-// router extracts its audio window, runs the non-coherent FSK demodulator
-// and scores BER plus packet-level statistics.
+// transmission with a known start offset inside the continuous capture;
+// rx::StreamingBurstDemodulator (rx/fsk_stream.h) collects its audio window
+// block by block, and this module's scorer runs the non-coherent FSK
+// demodulator on it and scores BER plus packet-level statistics.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,10 @@ inline constexpr double kBurstTailSlackSeconds = 0.05;
 
 /// Where a burst's demodulation window sits inside a capture of
 /// `capture_samples` at `sample_rate`: `[begin, begin + length)`, clamped to
-/// the capture. `valid` is false when the burst starts past the end of the
-/// capture (nothing demodulable — every expected bit counts as lost). Pure
-/// arithmetic, shared by demodulate_burst and the streaming collector so
-/// both slice bit-identical windows.
+/// the capture. The window starts exactly at `start_seconds` (the
+/// transmitter-side lead-in convention) and extends kBurstTailSlackSeconds
+/// past the payload. `valid` is false when the burst starts past the end of
+/// the capture (nothing demodulable — every expected bit counts as lost).
 struct BurstWindowBounds {
   std::size_t begin = 0;
   std::size_t length = 0;
@@ -54,20 +55,12 @@ BurstWindowBounds burst_window_bounds(const BurstSpec& burst,
                                       double sample_rate,
                                       std::size_t capture_samples);
 
-/// Scores an already-extracted burst window (exactly the samples
-/// demodulate_burst slices out of the capture via burst_window_bounds).
-/// `window_valid` false marks a fully out-of-range burst: every expected bit
-/// is an error and no packet is delivered. Shared by demodulate_burst and
-/// the streaming rx::StreamingBurstDemodulator.
+/// Scores an already-extracted burst window (the samples burst_window_bounds
+/// selects; collected by rx::StreamingBurstDemodulator). Bursts that fall
+/// partly outside the capture are scored against whatever bits could be
+/// demodulated; `window_valid` false marks a fully out-of-range burst:
+/// every expected bit is an error and no packet is delivered.
 BurstReport score_burst_window(const audio::MonoBuffer& window,
                                const BurstSpec& burst, bool window_valid);
-
-/// Demodulates one burst from the capture. The window starts exactly at
-/// `start_seconds` (the transmitter-side lead-in convention) and extends a
-/// slack past the payload to cover the pipeline group delay. Bursts that
-/// fall (partly) outside the capture are scored against whatever bits could
-/// be demodulated; fully out-of-range bursts report all bits as errors.
-BurstReport demodulate_burst(const audio::MonoBuffer& capture,
-                             const BurstSpec& burst);
 
 }  // namespace fmbs::rx

@@ -15,8 +15,7 @@
 namespace fmbs::rx {
 
 /// Butterworth low-pass as cascaded second-order sections (even order >= 2;
-/// throws otherwise). Exposed so the streaming device chain builds the same
-/// cascade the one-shot chain uses.
+/// throws otherwise). rx::PhoneChainStream's cutoff filter.
 std::vector<dsp::BiquadCoeffs> butterworth_lowpass(double cutoff_norm,
                                                    int order);
 
@@ -31,12 +30,15 @@ struct PhoneChainConfig {
   dsp::Agc::Config agc;
 };
 
-/// Applies the phone recording chain to decoded FM audio.
+/// Applies the phone recording chain to decoded FM audio: the whole buffer
+/// through one rx::PhoneChainStream (rx/device_stream.h). Throws
+/// std::invalid_argument on empty input or a cutoff at or above Nyquist.
 audio::MonoBuffer apply_phone_chain(const audio::MonoBuffer& in,
                                     const PhoneChainConfig& config = {},
                                     std::uint64_t noise_seed = 99);
 
-/// Stereo variant (both channels through matched chains).
+/// Stereo variant (both channels through matched chains; the right
+/// channel's codec noise is seeded `noise_seed + 1`).
 audio::StereoBuffer apply_phone_chain(const audio::StereoBuffer& in,
                                       const PhoneChainConfig& config = {},
                                       std::uint64_t noise_seed = 99);

@@ -1,9 +1,7 @@
 #include "rx/rds_path.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "fm/rds.h"
+#include "rx/rds_stream.h"
 
 namespace fmbs::rx {
 
@@ -23,18 +21,12 @@ RdsLinkReport rds_link_report_from(const fm::RdsDecodeResult& decoded) {
 }
 
 RdsLinkReport decode_rds_link(std::span<const float> mpx, double sample_rate,
-                              double start_seconds, double duration_seconds) {
+                              units::Seconds start, units::Seconds duration) {
   if (mpx.empty() || sample_rate <= 0.0) return RdsLinkReport{};
-  const std::size_t begin = std::min(
-      mpx.size(),
-      static_cast<std::size_t>(std::max(0.0, start_seconds) * sample_rate));
-  std::size_t length = mpx.size() - begin;
-  if (duration_seconds >= 0.0) {
-    length = std::min(
-        length, static_cast<std::size_t>(duration_seconds * sample_rate));
-  }
-  return rds_link_report_from(
-      fm::decode_rds(mpx.subspan(begin, length), sample_rate));
+  RdsStreamDecoder decoder(sample_rate, mpx.size(), start.raw(),
+                           duration.raw());
+  decoder.push(mpx);
+  return decoder.finish();
 }
 
 }  // namespace fmbs::rx

@@ -11,6 +11,8 @@
 #include <span>
 #include <string>
 
+#include "core/units.h"
+
 namespace fmbs::fm {
 struct RdsDecodeResult;
 }  // namespace fmbs::fm
@@ -32,18 +34,19 @@ struct RdsLinkReport {
 };
 
 /// Decodes RDS from a window of a receiver's post-demod MPX (at
-/// `sample_rate`). `start_seconds` / `duration_seconds` select the window
-/// (a negative duration extends to the end of the capture): a tag burst is
-/// decoded over its on-air window only, so a co-channel station's own
-/// continuous RDS outside the burst cannot skew carrier or symbol-timing
-/// recovery toward the wrong source.
+/// `sample_rate`) by pushing the whole capture through an
+/// rx::RdsStreamDecoder. `start` / `duration` select the window (a negative
+/// duration extends to the end of the capture): a tag burst is decoded over
+/// its on-air window only, so a co-channel station's own continuous RDS
+/// outside the burst cannot skew carrier or symbol-timing recovery toward
+/// the wrong source. An empty capture or a sample rate <= 0 yields an empty
+/// (unsynced, BLER 1) report.
 RdsLinkReport decode_rds_link(std::span<const float> mpx, double sample_rate,
-                              double start_seconds = 0.0,
-                              double duration_seconds = -1.0);
+                              units::Seconds start = units::Seconds{0.0},
+                              units::Seconds duration = units::Seconds{-1.0});
 
 /// Converts a raw decoder result into link statistics (BLER pinned to 1.0
-/// when no block was ever checked). Shared by the one-shot decode_rds_link
-/// and the streaming rx::RdsStreamDecoder.
+/// when no block was ever checked).
 RdsLinkReport rds_link_report_from(const fm::RdsDecodeResult& decoded);
 
 }  // namespace fmbs::rx

@@ -1,10 +1,11 @@
-// Streaming (block-fed) counterpart of rx::decode_rds_link: the decoder's
-// front end — mix the 57 kHz subcarrier to DC, 2.4 kHz low-pass — runs block
-// by block with persistent mixer/filter state over exactly the window the
-// one-shot path would slice, and the global stages (phase estimate, symbol
-// timing search, differential decode, block sync) run once at window close
-// via fm::decode_rds_baseband. Byte-identical to decode_rds_link on the same
-// window, at O(window) memory instead of O(run).
+// Block-fed RDS link decoder — the library's one RDS window decoder;
+// rx::decode_rds_link is a push-everything-then-finish wrapper over it. The
+// front end (fm/rds.h: mix the 57 kHz subcarrier to DC, 2.4 kHz low-pass)
+// runs block by block with persistent mixer/filter state over the decode
+// window, and the global stages (phase estimate, symbol timing search,
+// differential decode, block sync) run once at window close via
+// fm::decode_rds_baseband — the same result for any block split, at
+// O(window) memory instead of O(run).
 //
 // Windows are bounded: a tag burst's window is its on-air time plus slack,
 // and an unbounded station window (duration < 0: "decode the whole
@@ -28,11 +29,13 @@ namespace fmbs::rx {
 /// block of the receiver's post-demodulation MPX, in order, from sample 0.
 class RdsStreamDecoder {
  public:
-  /// Window selection matches decode_rds_link(mpx, rate, start, duration)
-  /// against a capture of `capture_samples`: the capture length must be
-  /// known up front (the scene pipeline knows its padded block count
-  /// before the first sample). `duration_seconds < 0` extends to the end of
-  /// the capture; `max_window_seconds > 0` additionally caps the window.
+  /// The window starts at `start_seconds` (clamped to >= 0) and spans
+  /// `duration_seconds` of a capture of `capture_samples`, clamped to the
+  /// capture: the capture length must be known up front (the scene pipeline
+  /// knows its padded block count before the first sample).
+  /// `duration_seconds < 0` extends to the end of the capture;
+  /// `max_window_seconds > 0` additionally caps the window. Throws
+  /// std::invalid_argument when `sample_rate` is not > 0.
   RdsStreamDecoder(double sample_rate, std::size_t capture_samples,
                    double start_seconds = 0.0, double duration_seconds = -1.0,
                    double max_window_seconds = -1.0);

@@ -4,10 +4,11 @@
 // unit carrier snapped to phase zero. The modulated signal ends at some
 // arbitrary phase, so the old pad introduced a phase step there, and the
 // receiver's FM discriminator turned it into a click. Decode windows really
-// do reach that region: rx::demodulate_burst keeps kTailSlackSeconds past
-// the payload for its timing search, so a burst ending near the scenario
-// end reads padded samples. The fix holds the render's final sample instead
-// — carrier-on at the final phase, which the discriminator sees as silence.
+// do reach that region: a burst's decode window keeps
+// rx::kBurstTailSlackSeconds past the payload for its timing search, so a
+// burst ending near the scenario end reads padded samples. The fix holds
+// the render's final sample instead — carrier-on at the final phase, which
+// the discriminator sees as silence.
 //
 // The detector is calibrated from measurement, not from a relative program
 // bound (an earlier version compared the seam against the program's own

@@ -5,6 +5,7 @@
 #include "audio/tone.h"
 #include "dsp/math_util.h"
 #include "dsp/spectrum.h"
+#include "reference/oneshot_chains.h"
 #include "tag/baseband.h"
 
 namespace fmbs::core {
@@ -112,6 +113,29 @@ TEST(Simulator, CarReceiverAppliesCabin) {
   const double p_tone = dsp::band_power(sim.backscatter_rx.mono.samples,
                                         fm::kAudioRate, 900.0, 1100.0);
   EXPECT_GT(p_tone, 1e-3);
+}
+
+TEST(Simulator, CaptureIsDeviceChainOfReceiverAudio) {
+  // The kept capture is the streamed device-chain audio; it must equal the
+  // whole-buffer reference chains run over the receiver's decoded audio.
+  for (const ReceiverKind kind : {ReceiverKind::kPhone, ReceiverKind::kCar}) {
+    SystemConfig cfg = quiet_system();
+    cfg.receiver = kind;
+    const ReceiverCapture cap =
+        simulate(cfg, tone_baseband(1000.0, 0.3), units::Seconds{0.3})
+            .backscatter_rx;
+    const bool car = kind == ReceiverKind::kCar;
+    const audio::MonoBuffer mono =
+        car ? reference::apply_cabin_acoustics(cap.fm.mono(), cfg.cabin)
+            : reference::apply_phone_chain(cap.fm.mono(), cfg.phone);
+    const audio::StereoBuffer stereo =
+        car ? audio::StereoBuffer::dual_mono(mono)
+            : reference::apply_phone_chain(cap.fm.audio, cfg.phone);
+    EXPECT_EQ(cap.mono.samples, mono.samples) << "car=" << car;
+    EXPECT_EQ(cap.mono.sample_rate, mono.sample_rate) << "car=" << car;
+    EXPECT_EQ(cap.stereo.left, stereo.left) << "car=" << car;
+    EXPECT_EQ(cap.stereo.right, stereo.right) << "car=" << car;
+  }
 }
 
 TEST(Simulator, FadingReducesMeanSnr) {

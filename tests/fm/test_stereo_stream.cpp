@@ -1,16 +1,20 @@
-// StereoStreamDecoder vs decode_stereo: the block-fed decoder must emit the
-// one-shot decoder's audio bit for bit — any block size, any split — as long
-// as its decision window covers the capture. This is the per-receiver
-// equivalence the streaming scenario engine's golden tests rest on.
+// StereoStreamDecoder vs the frozen whole-buffer reference decoder
+// (tests/reference/oneshot_chains.h): the block-fed decoder must emit the
+// reference's audio bit for bit — any block size, any split — as long as
+// its decision window covers the capture. This is the per-receiver
+// equivalence the streaming scenario engine's golden tests rest on. Every
+// case also pins the library's fm::decode_stereo wrapper to the reference.
 #include "fm/stereo_stream.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 
 #include "audio/tone.h"
 #include "fm/mpx.h"
 #include "fm/stereo_decoder.h"
+#include "reference/oneshot_chains.h"
 
 namespace fmbs::fm {
 namespace {
@@ -32,7 +36,15 @@ void expect_stream_matches_one_shot(const dsp::rvec& mpx,
                                     std::size_t block,
                                     double decision_window_seconds = -1.0) {
   SCOPED_TRACE("block=" + std::to_string(block));
-  const StereoDecodeResult one_shot = decode_stereo(mpx, cfg);
+  const StereoDecodeResult one_shot = reference::decode_stereo(mpx, cfg);
+
+  // The library's one-shot wrapper: the same class fed one block.
+  const StereoDecodeResult wrapped = decode_stereo(mpx, cfg);
+  EXPECT_EQ(wrapped.pilot_detected, one_shot.pilot_detected);
+  EXPECT_EQ(wrapped.pilot_snr_db, one_shot.pilot_snr_db);
+  EXPECT_EQ(wrapped.audio.sample_rate, one_shot.audio.sample_rate);
+  EXPECT_EQ(wrapped.audio.left, one_shot.audio.left);
+  EXPECT_EQ(wrapped.audio.right, one_shot.audio.right);
 
   StereoStreamDecoder stream(cfg, mpx.size(), units::Seconds{decision_window_seconds});
   dsp::rvec left;
@@ -86,6 +98,47 @@ TEST(StereoStream, DecisionWindowCoveringCaptureMatches) {
   // Window (10 s) far exceeds the 0.5 s capture: clamped to the capture, so
   // the decision is made from exactly what the one-shot decoder sees.
   expect_stream_matches_one_shot(mpx, StereoDecoderConfig{}, 7919, 10.0);
+}
+
+TEST(StereoStream, NoisyCapturesMatch) {
+  for (const bool stereo : {true, false}) {
+    for (const double rms : {0.0, 0.05, 0.3}) {
+      SCOPED_TRACE("stereo=" + std::to_string(stereo) +
+                   " rms=" + std::to_string(rms));
+      dsp::rvec mpx = test_mpx(stereo, 0.2);
+      const MonoBuffer noise = audio::make_noise(
+          rms, static_cast<double>(mpx.size()) / kMpxRate, kMpxRate, 3);
+      for (std::size_t i = 0; i < mpx.size() && i < noise.size(); ++i) {
+        mpx[i] += noise.samples[i];
+      }
+      expect_stream_matches_one_shot(mpx, StereoDecoderConfig{}, 7919);
+      StereoDecoderConfig de;
+      de.deemphasis = true;
+      expect_stream_matches_one_shot(mpx, de, 7919);
+    }
+  }
+}
+
+TEST(StereoStream, TinyCapturesMatch) {
+  // Shorter than the realignment delay, the decimation stride and the 8 ms
+  // pilot window: every edge of the tail handling.
+  const dsp::rvec full = test_mpx(true, 0.01);
+  StereoDecoderConfig mono;
+  mono.force_mono = true;
+  // Pilot gate forced open, so the stereo chain runs on the tiny capture.
+  StereoDecoderConfig open;
+  open.pilot_detect_threshold = units::Db{-1000.0};
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{5},
+                              std::size_t{62}, std::size_t{63},
+                              std::size_t{64}, std::size_t{127},
+                              std::size_t{200}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const dsp::rvec mpx(full.begin(),
+                        full.begin() + static_cast<std::ptrdiff_t>(n));
+    expect_stream_matches_one_shot(mpx, StereoDecoderConfig{}, 7);
+    expect_stream_matches_one_shot(mpx, mono, 7);
+    expect_stream_matches_one_shot(mpx, open, 7);
+  }
 }
 
 TEST(StereoStream, BoundedDecisionWindowIsBoundedMemory) {

@@ -1,12 +1,15 @@
-// Stream decoders vs their one-shot references, over the six golden scenes.
-// Both engines decode through the scene pipeline's block-fed chains
+// Stream decoders vs the frozen one-shot references, over the six golden
+// scenes. Both engines decode through the scene pipeline's block-fed chains
 // (rx::StreamingBurstDemodulator, rx::RdsStreamDecoder,
-// fm::StereoStreamDecoder), so comparing the engines with each other cannot
-// catch a stream decoder drifting from the one-shot decoder it replaces.
-// This suite re-decodes every link from ScenarioEngine's kept capture with
-// the one-shot references — rx::demodulate_burst on the device-chain mono,
-// rx::decode_rds_link and fm::decode_stereo on the post-demod MPX — and
-// demands the exact same result.
+// fm::StereoStreamDecoder, rx::PhoneChainStream, rx::CabinAcousticsStream),
+// and the library's one-shot entry points are wrappers over the same
+// classes, so neither the engines nor the wrappers can catch a stream class
+// drifting. This suite re-runs every receive stage over ScenarioEngine's
+// kept capture with the whole-buffer bodies frozen in
+// tests/reference/oneshot_chains.h — decode_stereo and decode_rds_link on
+// the post-demod MPX, the phone/cabin chain on the decoded audio,
+// demodulate_burst on the device-chain mono — and demands the exact same
+// result.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,6 +18,7 @@
 #include "core/scene_pipeline.h"
 #include "fm/stereo_decoder.h"
 #include "golden_scenarios.h"
+#include "reference/oneshot_chains.h"
 #include "rx/multitag.h"
 #include "rx/rds_path.h"
 #include "tag/fsk.h"
@@ -48,16 +52,34 @@ void expect_oneshot_equivalent(const core::Scenario& sc) {
     fm::StereoDecoderConfig sdc = sc.receivers[r].stereo_decoder;
     sdc.mpx_rate = fm::kMpxRate;
     const fm::StereoDecodeResult stereo =
-        fm::decode_stereo(capture.fm.mpx, sdc);
+        reference::decode_stereo(capture.fm.mpx, sdc);
     EXPECT_EQ(capture.fm.audio.left, stereo.audio.left) << "receiver " << r;
     EXPECT_EQ(capture.fm.audio.right, stereo.audio.right) << "receiver " << r;
     EXPECT_EQ(capture.fm.audio.sample_rate, stereo.audio.sample_rate);
     EXPECT_EQ(capture.fm.stereo_mode, stereo.pilot_detected);
     EXPECT_EQ(capture.fm.pilot_snr_db, stereo.pilot_snr_db);
 
+    // The kept device-chain audio: the mono is the stream the FSK
+    // collectors decoded, the stereo is recorded per channel (phone) or as
+    // the cabin microphone's one mono mix (car).
+    const core::ScenarioReceiver& receiver = sc.receivers[r];
+    const audio::MonoBuffer heard = capture.fm.mono();
+    const audio::MonoBuffer mono =
+        receiver.kind == core::ReceiverKind::kCar
+            ? reference::apply_cabin_acoustics(heard, receiver.cabin)
+            : reference::apply_phone_chain(heard, receiver.phone);
+    EXPECT_EQ(capture.mono.samples, mono.samples) << "receiver " << r;
+    EXPECT_EQ(capture.mono.sample_rate, mono.sample_rate);
+    const audio::StereoBuffer stereo_audio =
+        receiver.kind == core::ReceiverKind::kCar
+            ? audio::StereoBuffer::dual_mono(mono)
+            : reference::apply_phone_chain(capture.fm.audio, receiver.phone);
+    EXPECT_EQ(capture.stereo.left, stereo_audio.left) << "receiver " << r;
+    EXPECT_EQ(capture.stereo.right, stereo_audio.right) << "receiver " << r;
+
     if (rr.station_rds) {
       expect_same_rds(*rr.station_rds,
-                      rx::decode_rds_link(capture.fm.mpx, fm::kMpxRate),
+                      reference::decode_rds_link(capture.fm.mpx, fm::kMpxRate),
                       "station RDS @ receiver " + std::to_string(r));
     }
 
@@ -70,7 +92,7 @@ void expect_oneshot_equivalent(const core::Scenario& sc) {
       if (link.rds) {
         expect_same_rds(
             *link.rds,
-            rx::decode_rds_link(
+            reference::decode_rds_link(
                 capture.fm.mpx, fm::kMpxRate, tp.start_seconds,
                 tp.burst_seconds + core::kRdsDecodeSlackSeconds),
             where);
@@ -82,7 +104,7 @@ void expect_oneshot_equivalent(const core::Scenario& sc) {
       burst.start_seconds = tp.start_seconds;
       burst.packet_bits = sc.tags[t].packet_bits;
       const rx::BurstReport oneshot =
-          rx::demodulate_burst(capture.mono, burst);
+          reference::demodulate_burst(capture.mono, burst);
       EXPECT_EQ(link.burst.ber.bit_errors, oneshot.ber.bit_errors) << where;
       EXPECT_EQ(link.burst.ber.bits_compared, oneshot.ber.bits_compared)
           << where;

@@ -6,7 +6,8 @@
 // re-renders the very same scene through the very same DSP state machines,
 // just block by block with bounded buffering, so the comparison is
 // EXPECT_EQ, not EXPECT_NEAR: a single flipped bit anywhere means some
-// streaming decoder's state diverged from its one-shot twin and is a bug.
+// decoder's state depends on the block schedule or thread count and is a
+// bug.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -1,9 +1,8 @@
-// StreamingBurstDemodulator vs demodulate_burst: the collector must capture
-// exactly the window the one-shot router slices out of the full audio
+// StreamingBurstDemodulator vs the frozen whole-capture reference
+// demodulate_burst (tests/reference/oneshot_chains.h): the collector must
+// capture exactly the window the reference slices out of the full audio
 // capture and score it identically — including windows truncated by the end
-// of the capture and windows that start mid-block. Also pins the refactored
-// burst_window_bounds/score_burst_window split against the original
-// demodulate_burst behaviour.
+// of the capture and windows that start mid-block.
 #include "rx/fsk_stream.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 
 #include "audio/tone.h"
 #include "fm/constants.h"
+#include "reference/oneshot_chains.h"
 #include "rx/multitag.h"
 #include "tag/fsk.h"
 
@@ -52,7 +52,7 @@ void expect_same_report(const BurstReport& stream, const BurstReport& one,
 void expect_stream_matches_one_shot(const audio::MonoBuffer& capture,
                                     const BurstSpec& burst,
                                     std::size_t block) {
-  const BurstReport one = demodulate_burst(capture, burst);
+  const BurstReport one = reference::demodulate_burst(capture, burst);
   StreamingBurstDemodulator dec(burst, capture.sample_rate,
                                 capture.samples.size());
   for (std::size_t i = 0; i < capture.samples.size(); i += block) {
@@ -78,7 +78,7 @@ TEST(FskStream, BlockFedMatchesOneShot) {
   expect_stream_matches_one_shot(capture, burst, 4800);
   expect_stream_matches_one_shot(capture, burst, capture.samples.size());
   // The decode is real: clean capture delivers every packet.
-  const BurstReport one = demodulate_burst(capture, burst);
+  const BurstReport one = reference::demodulate_burst(capture, burst);
   EXPECT_EQ(one.packets_ok, one.packets);
   EXPECT_GT(one.bits_delivered, 0U);
 }
@@ -99,7 +99,7 @@ TEST(FskStream, WindowCompletesMidStream) {
   }
   EXPECT_TRUE(dec.window_complete());
   EXPECT_LT(fed, capture.samples.size());
-  expect_same_report(dec.finish(), demodulate_burst(capture, burst),
+  expect_same_report(dec.finish(), reference::demodulate_burst(capture, burst),
                      "mid-stream completion");
 }
 
@@ -119,7 +119,7 @@ TEST(FskStream, WindowEntirelyPastCaptureMatchesOneShot) {
   // invalid window (no packets, BER 1); the collector must agree.
   BurstSpec burst = test_burst(2.0);
   const audio::MonoBuffer capture = burst_capture(test_burst(0.05), 0.5);
-  const BurstReport one = demodulate_burst(capture, burst);
+  const BurstReport one = reference::demodulate_burst(capture, burst);
   StreamingBurstDemodulator dec(burst, capture.sample_rate,
                                 capture.samples.size());
   dec.push(capture.samples);
