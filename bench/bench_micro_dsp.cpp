@@ -8,7 +8,7 @@
 #include "channel/awgn.h"
 #include "channel/superpose.h"
 #include "core/experiment.h"
-#include "core/simulator.h"
+#include "core/scenario.h"
 #include "core/thread_pool.h"
 #include "fm/station_cache.h"
 #include "dsp/fft.h"
@@ -199,12 +199,13 @@ void BM_EndToEndSimulationSecond(benchmark::State& state) {
   fm::StationCache::instance().set_enabled(false);
   core::ExperimentPoint point;
   point.genre = audio::ProgramGenre::kNews;
-  core::SystemConfig cfg = core::make_system(point);
   const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
   const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
+  const core::Scenario sc =
+      core::experiment_scenario(point, bb, units::Seconds{1.0});
   for (auto _ : state) {
-    auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
-    benchmark::DoNotOptimize(sim.backscatter_rx.mono.samples.data());
+    auto result = core::ScenarioEngine().run(sc);
+    benchmark::DoNotOptimize(result.receivers[0].capture.mono.samples.data());
   }
   fm::StationCache::instance().set_enabled(true);
 }

@@ -19,13 +19,6 @@ int main(int argc, char** argv) {
   point.genre = audio::ProgramGenre::kNews;
   point.tag_power = units::Dbm{-35.0};
   point.distance = units::Feet{6.0};
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.capture_ambient_receiver = true;  // phone 1
-  cfg.phone.enable_agc = true;          // the problem the pilot calibrates out
-  cfg.phone.agc.attack_seconds = 0.4;
-  cfg.phone.agc.release_seconds = 2.0;
-  cfg.phone.agc.min_gain = 0.5;
-  cfg.phone.agc.max_gain = 2.0;
 
   // Tag content: a speech clip, preceded by the 13 kHz calibration preamble.
   const double seconds = 4.0;
@@ -37,27 +30,38 @@ int main(int argc, char** argv) {
   const auto bb = tag::compose_cooperative_baseband(speech, core::kOverlayLevel,
                                                     pilot);
 
+  // Phone 2 on the backscatter channel, phone 1 on the station.
+  core::Scenario scene = core::experiment_scenario(
+      point, bb, units::Seconds{seconds + pilot.preamble_seconds + 0.2},
+      /*ambient_receiver=*/true);
+  for (core::ScenarioReceiver& receiver : scene.receivers) {
+    receiver.phone.enable_agc = true;  // the problem the pilot calibrates out
+    receiver.phone.agc.attack_seconds = 0.4;
+    receiver.phone.agc.release_seconds = 2.0;
+    receiver.phone.agc.min_gain = 0.5;
+    receiver.phone.agc.max_gain = 2.0;
+  }
+
   std::puts("simulating two phones next to the poster...");
-  const core::SimulationResult sim =
-      core::simulate(cfg, bb, units::Seconds{seconds + pilot.preamble_seconds + 0.2});
+  const core::ScenarioResult sim = core::ScenarioEngine().run(scene);
+  const audio::MonoBuffer& phone2 = sim.receivers[0].capture.mono;
 
   rx::CooperativeConfig coop;
   coop.pilot = pilot;
-  const rx::CooperativeResult result = rx::cancel_ambient(
-      sim.ambient_rx->mono, sim.backscatter_rx.mono, coop);
+  const rx::CooperativeResult result =
+      rx::cancel_ambient(sim.receivers[1].capture.mono, phone2, coop);
 
   std::printf("alignment: %.1f samples @ x10 rate; AGC ratio %.2f; ambient "
               "gain %.2f\n",
               result.delay_samples, result.agc_ratio, result.ambient_gain);
 
-  const double pesq_before = audio::pesq_like(speech, sim.backscatter_rx.mono);
+  const double pesq_before = audio::pesq_like(speech, phone2);
   const double pesq_after = audio::pesq_like(speech, result.backscatter_audio);
   std::printf("PESQ-like: overlay (phone 2 alone) %.2f -> cooperative %.2f\n",
               pesq_before, pesq_after);
   std::printf("(paper: ~2 -> ~4)\n");
 
-  audio::write_wav(out_dir + "/coop_phone2_composite.wav",
-                   sim.backscatter_rx.mono);
+  audio::write_wav(out_dir + "/coop_phone2_composite.wav", phone2);
   audio::write_wav(out_dir + "/coop_cancelled.wav", result.backscatter_audio);
   std::printf("wrote %s/coop_phone2_composite.wav and %s/coop_cancelled.wav\n",
               out_dir.c_str(), out_dir.c_str());

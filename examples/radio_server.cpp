@@ -6,22 +6,26 @@
 // Protocol (line-oriented, one client at a time, 127.0.0.1 only):
 //   STATUS\n  -> one JSON line: uptime, station RDS, every decoded link
 //   QUIT\n    -> BYE, connection closes
+// A request line longer than 256 bytes gets ERR and the connection closes.
 //
 // Modes:
 //   (default)        daemon: real-time city run (--minutes N, default 10;
 //                    --port P, default 7337), serves until the run ends
 //   --smoke          CI acceptance: short accelerated run on an ephemeral
-//                    port, self-queries STATUS, verifies the station PS
-//                    name and an FSK payload decoded, exits 0/1
+//                    port, checks an over-long request line is refused,
+//                    self-queries STATUS, verifies the station PS name and
+//                    an FSK payload decoded, exits 0/1
 //   --soak           CI memory gate: 60 s simulated city run (accelerated),
 //                    asserts the streaming engine's bounded-buffer ledger
 //                    is duration-invariant (within 1.1x of a 5 s run)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -199,14 +203,24 @@ int make_listener(uint16_t port, uint16_t* bound_port) {
   return fd;
 }
 
-bool read_line(int fd, std::string* line) {
+/// Longest request line the server buffers; a client that sends more before
+/// its newline is answered ERR and disconnected, so a peer that never sends
+/// '\n' cannot grow the server's memory.
+constexpr std::size_t kMaxLineBytes = 256;
+
+enum class LineRead { kLine, kClosed, kTooLong };
+
+/// Reads one '\n'-terminated line of at most `max_bytes` (CR dropped).
+LineRead read_line(int fd, std::string* line, std::size_t max_bytes) {
   line->clear();
   char c = 0;
   while (true) {
     const ssize_t n = ::recv(fd, &c, 1, 0);
-    if (n <= 0) return false;
-    if (c == '\n') return true;
-    if (c != '\r') line->push_back(c);
+    if (n <= 0) return LineRead::kClosed;
+    if (c == '\n') return LineRead::kLine;
+    if (c == '\r') continue;
+    if (line->size() == max_bytes) return LineRead::kTooLong;
+    line->push_back(c);
   }
 }
 
@@ -227,7 +241,13 @@ void serve(int listen_fd, const TagFeed& feed,
     const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) return;  // listener closed: server is done
     std::string line;
-    while (read_line(client, &line)) {
+    while (true) {
+      const LineRead read = read_line(client, &line, kMaxLineBytes);
+      if (read == LineRead::kClosed) break;
+      if (read == LineRead::kTooLong) {
+        send_all(client, "ERR request line too long\n");
+        break;
+      }
       if (line == "STATUS") {
         const double uptime =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -289,24 +309,52 @@ int run_daemon(double duration_seconds, uint16_t port, bool real_time,
   return status;
 }
 
-/// One STATUS round trip against a local server.
-std::string query_status(uint16_t port) {
+/// A client socket connected to a local server, or -1.
+int connect_local(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// One STATUS round trip against a local server.
+std::string query_status(uint16_t port) {
+  const int fd = connect_local(port);
+  if (fd < 0) return "";
   send_all(fd, "STATUS\n");
   std::string line;
-  const bool ok = read_line(fd, &line);
+  const bool ok = read_line(fd, &line, line.max_size()) == LineRead::kLine;
   send_all(fd, "QUIT\n");
   ::close(fd);
   return ok ? line : "";
+}
+
+/// Sends a 300-byte request line: the server must answer ERR and close the
+/// connection (checked with a receive timeout, so a server that keeps it
+/// open fails instead of hanging the check).
+bool long_line_refused(uint16_t port) {
+  const int fd = connect_local(port);
+  if (fd < 0) return false;
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  send_all(fd, std::string(300, 'S') + "\n");
+  std::string reply;
+  const bool answered =
+      read_line(fd, &reply, reply.max_size()) == LineRead::kLine &&
+                        reply.rfind("ERR", 0) == 0;
+  char c = 0;
+  const ssize_t n = ::recv(fd, &c, 1, 0);
+  const bool closed = n == 0 || (n < 0 && errno == ECONNRESET);
+  ::close(fd);
+  return answered && closed;
 }
 
 int run_smoke() {
@@ -329,6 +377,7 @@ int run_smoke() {
     core::StreamingEngine(cfg).run(city_scene(3.0));
     feed.finish();
   });
+  const bool refused = long_line_refused(port);
 
   // Poll STATUS until the run finishes (bounded by a generous wall cap).
   std::string status;
@@ -343,6 +392,11 @@ int run_smoke() {
   server.join();
 
   std::cerr << "smoke status: " << status << "\n";
+  if (!refused) {
+    std::cerr << "smoke FAIL: over-long request line not refused with ERR "
+                 "and a close\n";
+    return 1;
+  }
   if (status.find("\"running\": false") == std::string::npos) {
     std::cerr << "smoke FAIL: run never completed over the socket\n";
     return 1;

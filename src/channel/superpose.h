@@ -4,9 +4,8 @@
 //   rf[i] = g_direct * station[i] + sum_t g_t * reflected_t[i]
 //
 // computed with one scale pass and one scaled-accumulate pass per tag. The
-// operation order matches the single-tag simulator's fused expression
-// exactly (scalar multiply rounds, then the add rounds), so a one-tag
-// superposition is bit-identical to the legacy core::simulate scene.
+// operation order is fixed (scalar multiply rounds, then the add rounds), so
+// a one-tag scene reproduces the committed golden traces bit for bit.
 #pragma once
 
 #include <span>

@@ -6,6 +6,7 @@
 
 #include "audio/speech_synth.h"
 #include "audio/tone.h"
+#include "core/scenario.h"
 #include "dsp/spectrum.h"
 #include "rx/cooperative.h"
 #include "rx/mrc.h"
@@ -15,10 +16,9 @@ namespace fmbs::core {
 
 namespace {
 
-/// Seed offsets so the station program, tag content and channel noise are
-/// mutually independent processes.
+/// Seed offset so the tag content is independent of the station program
+/// (experiment_scenario seeds the channel noise at +0x200000).
 constexpr std::uint64_t kContentSeedOffset = 0x100000;
-constexpr std::uint64_t kNoiseSeedOffset = 0x200000;
 
 double duration_for_bits(tag::DataRate rate, std::size_t num_bits) {
   return static_cast<double>(num_bits) / tag::bits_per_second(rate) + 0.15;
@@ -53,46 +53,17 @@ void extend_circularly(audio::MonoBuffer& combined) {
                           combined.samples.begin() + static_cast<std::ptrdiff_t>(extra));
 }
 
-}  // namespace
-
-SystemConfig make_system(const ExperimentPoint& point) {
-  SystemConfig cfg;
-  cfg.station.program.genre = point.genre;
-  cfg.station.program.stereo = point.stereo_station;
-  cfg.station.seed = point.station_seed != 0 ? point.station_seed : point.seed;
-  cfg.scene.tag_power = point.tag_power;
-  cfg.scene.tag_rx_distance = point.distance;
-  cfg.scene.noise_seed = point.seed + kNoiseSeedOffset;
-  cfg.receiver = point.receiver;
-  if (point.receiver == ReceiverKind::kCar) {
-    cfg.scene.rx_noise_200khz = channel::ReceiverNoise::kCarPer200kHz;
-    cfg.scene.link.rx_antenna_gain =
-        units::Db{tag::car_whip_antenna().effective_gain_db()};
-    cfg.stereo_decoder.force_mono = true;  // car stereo used as plain mono
-    // Car ranges (20-80 ft) run near the ground where the two-ray d^4
-    // falloff dominates (poster at 5 ft per the paper, whip on the car
-    // body); phones operate inside the two-ray crossover so free space
-    // suffices there.
-    cfg.scene.link.use_two_ray = true;
-    cfg.scene.link.tag_height = units::Meters{1.52};  // poster mounted 5 ft up
-    cfg.scene.link.rx_height = units::Meters{1.5};
-  } else {
-    cfg.scene.link.rx_antenna_gain =
-        units::Db{tag::headphone_antenna().effective_gain_db()};
-  }
-  return cfg;
+/// The backscatter receiver's capture of a measurement scenario.
+ReceiverCapture run_capture(const Scenario& sc) {
+  return std::move(ScenarioEngine().run(sc).receivers[0].capture);
 }
+
+}  // namespace
 
 double run_tone_snr(const ExperimentPoint& point, units::Hertz tone,
                     bool stereo_band, units::Seconds duration) {
   const double tone_hz = tone.raw();
   const double duration_seconds = duration.raw();
-  SystemConfig cfg = make_system(point);
-  // Fig. 6 methodology: "we simulate an FM station transmitting no audio
-  // information (FM_audio = 0, a single tone at fc)".
-  cfg.station.program.genre = audio::ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-
   const audio::MonoBuffer tone_wave =
       audio::make_tone(tone_hz, 1.0, duration_seconds, fm::kAudioRate);
   dsp::rvec bb;
@@ -101,10 +72,15 @@ double run_tone_snr(const ExperimentPoint& point, units::Hertz tone,
   } else {
     bb = tag::compose_overlay_baseband(tone_wave, kOverlayLevel);
   }
-  const SimulationResult sim = simulate(cfg, bb, duration);
+  Scenario sc = experiment_scenario(point, bb, duration);
+  // Fig. 6 methodology: "we simulate an FM station transmitting no audio
+  // information (FM_audio = 0, a single tone at fc)".
+  sc.station.program.genre = audio::ProgramGenre::kSilence;
+  sc.station.program.stereo = false;
+  const ReceiverCapture capture = run_capture(sc);
 
   const audio::MonoBuffer& measured =
-      stereo_band ? sim.backscatter_rx.stereo.side() : sim.backscatter_rx.mono;
+      stereo_band ? capture.stereo.side() : capture.mono;
   // Skip the filter-settling head before measuring.
   const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
   if (measured.size() <= skip + 4096) {
@@ -128,22 +104,20 @@ rx::BerResult demodulate_and_compare(const audio::MonoBuffer& audio_in,
 
 rx::BerResult run_overlay_ber(const ExperimentPoint& point, tag::DataRate rate,
                               std::size_t num_bits) {
-  SystemConfig cfg = make_system(point);
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
   const audio::MonoBuffer wave = with_lead_in(
       tag::modulate_fsk(bits, rate, fm::kAudioRate));
   const dsp::rvec bb = tag::compose_overlay_baseband(wave, kOverlayLevel);
-  const SimulationResult sim = simulate(
-      cfg, bb,
-      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds});
-  return demodulate_and_compare(drop_lead_in(sim.backscatter_rx.mono), bits, rate);
+  const ReceiverCapture capture = run_capture(experiment_scenario(
+      point, bb,
+      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds}));
+  return demodulate_and_compare(drop_lead_in(capture.mono), bits, rate);
 }
 
 rx::BerResult run_overlay_ber_mrc(const ExperimentPoint& point, tag::DataRate rate,
                                   std::size_t num_bits, std::size_t repetitions) {
   if (repetitions == 0) throw std::invalid_argument("run_overlay_ber_mrc: 0 reps");
-  SystemConfig cfg = make_system(point);
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
   const audio::MonoBuffer one = tag::modulate_fsk(bits, rate, fm::kAudioRate);
@@ -153,11 +127,11 @@ rx::BerResult run_overlay_ber_mrc(const ExperimentPoint& point, tag::DataRate ra
   const double payload_seconds = all.duration_seconds();
   const dsp::rvec bb =
       tag::compose_overlay_baseband(with_lead_in(all), kOverlayLevel);
-  const SimulationResult sim =
-      simulate(cfg, bb, units::Seconds{payload_seconds + kSettleSeconds + 0.15});
+  const ReceiverCapture capture = run_capture(experiment_scenario(
+      point, bb, units::Seconds{payload_seconds + kSettleSeconds + 0.15}));
 
   // Trim the padding tail so the N segments tile exactly, then combine.
-  audio::MonoBuffer mono = drop_lead_in(sim.backscatter_rx.mono);
+  audio::MonoBuffer mono = drop_lead_in(capture.mono);
   const auto payload_samples =
       static_cast<std::size_t>(payload_seconds * fm::kAudioRate);
   if (mono.size() > payload_samples) mono.samples.resize(payload_samples);
@@ -172,36 +146,34 @@ rx::BerResult run_overlay_ber_mrc(const ExperimentPoint& point, tag::DataRate ra
 rx::BerResult run_overlay_ber_coded(const ExperimentPoint& point,
                                     tag::DataRate rate, std::size_t payload_bits,
                                     tag::FecScheme scheme) {
-  SystemConfig cfg = make_system(point);
   const auto payload =
       tag::random_bits(payload_bits, point.seed + kContentSeedOffset);
   const auto coded = tag::fec_encode(payload, scheme);
   const audio::MonoBuffer wave =
       with_lead_in(tag::modulate_fsk(coded, rate, fm::kAudioRate));
   const dsp::rvec bb = tag::compose_overlay_baseband(wave, kOverlayLevel);
-  const SimulationResult sim = simulate(
-      cfg, bb,
-      units::Seconds{duration_for_bits(rate, coded.size()) + kSettleSeconds});
-  const rx::FskDemodResult demod = rx::demodulate_fsk(
-      drop_lead_in(sim.backscatter_rx.mono), rate, coded.size());
+  const ReceiverCapture capture = run_capture(experiment_scenario(
+      point, bb,
+      units::Seconds{duration_for_bits(rate, coded.size()) + kSettleSeconds}));
+  const rx::FskDemodResult demod =
+      rx::demodulate_fsk(drop_lead_in(capture.mono), rate, coded.size());
   const auto decoded = tag::fec_decode(demod.bits, scheme, payload_bits);
   return rx::compare_bits(payload, decoded);
 }
 
 rx::BerResult run_stereo_ber(const ExperimentPoint& point, tag::DataRate rate,
                              std::size_t num_bits) {
-  SystemConfig cfg = make_system(point);
   const bool insert_pilot = !point.stereo_station;  // mono-to-stereo conversion
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
   const audio::MonoBuffer wave = with_lead_in(
       tag::modulate_fsk(bits, rate, fm::kAudioRate));
   const dsp::rvec bb = tag::compose_stereo_baseband(wave, insert_pilot);
-  const SimulationResult sim = simulate(
-      cfg, bb,
-      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds});
+  const ReceiverCapture capture = run_capture(experiment_scenario(
+      point, bb,
+      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds}));
   // The receiver outputs L and R; recover the stereo stream as (L-R)/2.
-  const audio::MonoBuffer side = sim.backscatter_rx.stereo.side();
+  const audio::MonoBuffer side = capture.stereo.side();
   return demodulate_and_compare(drop_lead_in(side), bits, rate);
 }
 
@@ -218,58 +190,55 @@ audio::MonoBuffer tag_speech(double duration_seconds, std::uint64_t seed) {
 
 double run_overlay_pesq(const ExperimentPoint& point, units::Seconds duration) {
   const double duration_seconds = duration.raw();
-  SystemConfig cfg = make_system(point);
   const audio::MonoBuffer speech =
       tag_speech(duration_seconds, point.seed + kContentSeedOffset);
   const dsp::rvec bb = tag::compose_overlay_baseband(speech, kOverlayLevel);
-  const SimulationResult sim =
-      simulate(cfg, bb, units::Seconds{duration_seconds + 0.1});
-  return audio::pesq_like(speech, sim.backscatter_rx.mono);
+  const ReceiverCapture capture = run_capture(
+      experiment_scenario(point, bb, units::Seconds{duration_seconds + 0.1}));
+  return audio::pesq_like(speech, capture.mono);
 }
 
 double run_stereo_pesq(const ExperimentPoint& point, units::Seconds duration) {
   const double duration_seconds = duration.raw();
-  SystemConfig cfg = make_system(point);
   const bool insert_pilot = !point.stereo_station;
   const audio::MonoBuffer speech =
       tag_speech(duration_seconds, point.seed + kContentSeedOffset);
   const dsp::rvec bb = tag::compose_stereo_baseband(speech, insert_pilot);
-  const SimulationResult sim =
-      simulate(cfg, bb, units::Seconds{duration_seconds + 0.1});
-  const audio::MonoBuffer side = sim.backscatter_rx.stereo.side();
+  const ReceiverCapture capture = run_capture(
+      experiment_scenario(point, bb, units::Seconds{duration_seconds + 0.1}));
+  const audio::MonoBuffer side = capture.stereo.side();
   return audio::pesq_like(speech, side);
 }
 
 double run_cooperative_pesq(const ExperimentPoint& point,
                             units::Seconds duration) {
   const double duration_seconds = duration.raw();
-  SystemConfig cfg = make_system(point);
-  cfg.capture_ambient_receiver = true;
-  // Exercise the receiver-side problem the technique solves: hardware gain
-  // control. Receiver AGCs track channel level with slow loop dynamics, so
-  // the gain is near-constant within the preamble and within the payload —
-  // the two states the 13 kHz pilot calibration compares.
-  cfg.phone.enable_agc = true;
-  cfg.phone.agc.attack_seconds = 0.4;
-  cfg.phone.agc.release_seconds = 2.0;
-  cfg.phone.agc.min_gain = 0.5;  // real record paths adjust gain mildly
-  cfg.phone.agc.max_gain = 2.0;
-
   tag::CoopPilotConfig pilot;  // defaults match rx::CooperativeConfig
   const audio::MonoBuffer speech =
       tag_speech(duration_seconds, point.seed + kContentSeedOffset);
   const dsp::rvec bb =
       tag::compose_cooperative_baseband(speech, kOverlayLevel, pilot);
-  const SimulationResult sim = simulate(
-      cfg, bb,
-      units::Seconds{duration_seconds + pilot.preamble_seconds + 0.1});
-  if (!sim.ambient_rx) {
-    throw std::logic_error("run_cooperative_pesq: missing ambient capture");
+  Scenario sc = experiment_scenario(
+      point, bb,
+      units::Seconds{duration_seconds + pilot.preamble_seconds + 0.1},
+      /*ambient_receiver=*/true);
+  // Exercise the receiver-side problem the technique solves: hardware gain
+  // control. Receiver AGCs track channel level with slow loop dynamics, so
+  // the gain is near-constant within the preamble and within the payload —
+  // the two states the 13 kHz pilot calibration compares.
+  for (ScenarioReceiver& rx : sc.receivers) {
+    rx.phone.enable_agc = true;
+    rx.phone.agc.attack_seconds = 0.4;
+    rx.phone.agc.release_seconds = 2.0;
+    rx.phone.agc.min_gain = 0.5;  // real record paths adjust gain mildly
+    rx.phone.agc.max_gain = 2.0;
   }
+  const ScenarioResult result = ScenarioEngine().run(sc);
   rx::CooperativeConfig coop;
   coop.pilot = pilot;
-  const rx::CooperativeResult cancelled = rx::cancel_ambient(
-      sim.ambient_rx->mono, sim.backscatter_rx.mono, coop);
+  const rx::CooperativeResult cancelled =
+      rx::cancel_ambient(result.receivers[1].capture.mono,
+                         result.receivers[0].capture.mono, coop);
   return audio::pesq_like(speech, cancelled.backscatter_audio);
 }
 
@@ -284,14 +253,6 @@ rx::BerResult run_fabric_ber(channel::Mobility mobility, tag::DataRate rate,
   point.genre = audio::ProgramGenre::kNews;
   point.seed = seed;
   point.station_seed = station_seed;
-  SystemConfig cfg = make_system(point);
-  cfg.tag.antenna = tag::tshirt_meander_antenna(/*worn=*/true);
-  // On-body operation adds absorption and detuning beyond the antenna's own
-  // efficiency: the link runs with little margin, which is exactly why the
-  // paper measures visible BER here.
-  cfg.scene.link.implementation_loss = units::Db{13.0};
-  cfg.scene.fading = channel::fading_for_mobility(mobility);
-
   const auto bits = tag::random_bits(num_bits, seed + kContentSeedOffset);
   const audio::MonoBuffer one = tag::modulate_fsk(bits, rate, fm::kAudioRate);
   audio::MonoBuffer all = one;
@@ -299,10 +260,16 @@ rx::BerResult run_fabric_ber(channel::Mobility mobility, tag::DataRate rate,
   const double payload_seconds = all.duration_seconds();
   const dsp::rvec bb =
       tag::compose_overlay_baseband(with_lead_in(all), kOverlayLevel);
-  const SimulationResult sim =
-      simulate(cfg, bb, units::Seconds{payload_seconds + kSettleSeconds + 0.15});
+  Scenario sc = experiment_scenario(
+      point, bb, units::Seconds{payload_seconds + kSettleSeconds + 0.15});
+  sc.tags[0].antenna = tag::tshirt_meander_antenna(/*worn=*/true);
+  sc.tags[0].fading = channel::fading_for_mobility(mobility);
+  // On-body operation adds absorption and detuning beyond the antenna's own
+  // efficiency: the link runs with little margin, which is exactly why the
+  // paper measures visible BER here.
+  sc.receivers[0].link.implementation_loss = units::Db{13.0};
 
-  audio::MonoBuffer combined = drop_lead_in(sim.backscatter_rx.mono);
+  audio::MonoBuffer combined = drop_lead_in(run_capture(sc).mono);
   if (mrc_repetitions > 1) {
     // Trim the padding tail so the N segments tile exactly, combine, then
     // restore the group-delayed tail of the last symbol circularly.

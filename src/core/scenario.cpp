@@ -119,56 +119,55 @@ ScenarioReceiver car_listening_to(const tag::SubcarrierConfig& subcarrier) {
   rx.kind = ReceiverKind::kCar;
   rx.tune_offset = subcarrier.shift;
   rx.stereo_decoder.force_mono = true;  // car stereo used as plain mono
-  // Car ranges run near the ground where the two-ray d^4 falloff dominates
-  // (see make_system's car branch).
+  // Car ranges (20-80 ft) run near the ground where the two-ray d^4 falloff
+  // dominates (poster at 5 ft per the paper, whip on the car body); phones
+  // operate inside the two-ray crossover so free space suffices there.
   rx.link.use_two_ray = true;
-  rx.link.tag_height = units::Meters{1.52};
+  rx.link.tag_height = units::Meters{1.52};  // poster mounted 5 ft up
   rx.link.rx_height = units::Meters{1.5};
   return rx;
 }
 
-Scenario scenario_from_system(const SystemConfig& config,
-                              const dsp::rvec& tag_baseband,
-                              units::Seconds duration) {
+Scenario experiment_scenario(const ExperimentPoint& point,
+                             const dsp::rvec& tag_baseband,
+                             units::Seconds duration, bool ambient_receiver) {
+  // Channel noise is seeded apart from the station program (point.seed) and
+  // the harness's tag content (point.seed + 0x100000).
+  constexpr std::uint64_t kNoiseSeedOffset = 0x200000;
+  const std::uint64_t noise_seed = point.seed + kNoiseSeedOffset;
+
   Scenario sc;
-  sc.name = "legacy-bridge";
-  sc.station = config.station;
+  sc.name = "experiment";
+  sc.station.program.genre = point.genre;
+  sc.station.program.stereo = point.stereo_station;
+  sc.station.seed = point.station_seed != 0 ? point.station_seed : point.seed;
   sc.settle = units::Seconds{0.0};
   sc.duration = duration;
-  sc.seed = config.scene.noise_seed;
+  sc.seed = noise_seed;
 
   ScenarioTag t;
   t.name = "tag";
-  t.subcarrier = config.tag.subcarrier;
-  t.antenna = config.tag.antenna;
-  // An empty legacy baseband means "unmodulated always-on switch" (the
-  // engine zero-pads to the scene length); keep one explicit zero sample so
-  // the engine does not mistake it for an FSK payload tag.
+  // An empty baseband means "unmodulated always-on switch" (the engine
+  // zero-pads to the scene length); keep one explicit zero sample so the
+  // engine does not mistake it for an FSK payload tag.
   t.custom_baseband = tag_baseband.empty() ? dsp::rvec(1, 0.0F) : tag_baseband;
-  t.tag_power = config.scene.tag_power;
-  t.distance_override = config.scene.tag_rx_distance;
-  t.fading = config.scene.fading;
-  t.fading_seed = config.scene.noise_seed + 1;  // simulate()'s fading stream
+  t.tag_power = point.tag_power;
+  t.distance_override = point.distance;
+  t.fading_seed = noise_seed + 1;
   sc.tags.push_back(std::move(t));
 
-  ScenarioReceiver rx;
+  ScenarioReceiver rx = point.receiver == ReceiverKind::kCar
+                            ? car_listening_to(sc.tags[0].subcarrier)
+                            : phone_listening_to(sc.tags[0].subcarrier);
   rx.name = "backscatter-rx";
-  rx.kind = config.receiver;
-  rx.tune_offset = config.tag.subcarrier.shift;
-  rx.direct_power = config.scene.direct_power;
-  rx.noise_200khz = config.scene.rx_noise_200khz;
-  rx.link = config.scene.link;
-  rx.noise_seed = config.scene.noise_seed;
-  rx.phone = config.phone;
-  rx.cabin = config.cabin;
-  rx.stereo_decoder = config.stereo_decoder;
+  rx.noise_seed = noise_seed;
   sc.receivers.push_back(rx);
 
-  if (config.capture_ambient_receiver) {
-    ScenarioReceiver amb = rx;
+  if (ambient_receiver) {
+    ScenarioReceiver amb = std::move(rx);
     amb.name = "ambient-rx";
     amb.tune_offset = units::Hertz{0.0};
-    amb.noise_seed = config.scene.noise_seed + 0x9e3779b9ULL;  // simulate()'s
+    amb.noise_seed = noise_seed + 0x9e3779b9ULL;
     sc.receivers.push_back(std::move(amb));
   }
   return sc;
@@ -288,8 +287,10 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   if (sc.receivers.empty()) {
     throw std::invalid_argument("ScenarioEngine: scenario needs a receiver");
   }
-  // A NaN slips past every `if (x < bound) throw` check, so positions and
-  // powers are tested for finiteness instead of running to nonsense BERs.
+  // A NaN slips past every `if (x < bound) throw` check, so positions,
+  // powers, offsets and distances are tested for finiteness up front —
+  // before any of them selects a station or indexes a table — instead of
+  // running to nonsense BERs.
   auto finite_path = [](const ScenePosition& anchor,
                         std::span<const ScenePosition> waypoints) {
     auto finite = [](const ScenePosition& p) {
@@ -298,20 +299,39 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     return finite(anchor) &&
            std::all_of(waypoints.begin(), waypoints.end(), finite);
   };
-  for (const ScenarioTag& t : sc.tags) {
-    const char* bad = !finite_path(t.position, t.waypoints) ? "position"
-                      : !std::isfinite(t.tag_power.raw())   ? "tag_power"
-                                                             : nullptr;
-    if (bad != nullptr) {
-      throw std::invalid_argument("ScenarioEngine: tag \"" + t.name + "\" " +
-                                  bad + " must be finite");
+  auto require = [](bool ok, const char* entity, const std::string& name,
+                    const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("ScenarioEngine: ") + entity +
+                                  " \"" + name + "\" " + what);
     }
+  };
+  auto finite_opt = [](const auto& v) { return !v || std::isfinite(v->raw()); };
+  for (const ScenarioStation& st : sc.stations) {
+    require(std::isfinite(st.power.raw()), "station", st.name,
+            "power must be finite");
+    require(std::isfinite(st.offset.raw()), "station", st.name,
+            "offset must be finite");
+    require(!st.position || finite_path(*st.position, {}), "station", st.name,
+            "position must be finite");
+  }
+  for (const ScenarioTag& t : sc.tags) {
+    require(finite_path(t.position, t.waypoints), "tag", t.name,
+            "position must be finite");
+    require(std::isfinite(t.tag_power.raw()), "tag", t.name,
+            "tag_power must be finite");
+    require(!t.distance_override ||
+                (std::isfinite(t.distance_override->raw()) &&
+                 t.distance_override->raw() > 0.0),
+            "tag", t.name, "distance_override must be finite and > 0");
   }
   for (const ScenarioReceiver& rx : sc.receivers) {
-    if (!finite_path(rx.position, rx.waypoints)) {
-      throw std::invalid_argument("ScenarioEngine: receiver \"" + rx.name +
-                                  "\" position must be finite");
-    }
+    require(finite_path(rx.position, rx.waypoints), "receiver", rx.name,
+            "position must be finite");
+    require(finite_opt(rx.direct_power), "receiver", rx.name,
+            "direct_power must be finite");
+    require(finite_opt(rx.noise_200khz), "receiver", rx.name,
+            "noise_200khz must be finite");
   }
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();

@@ -40,14 +40,17 @@
 #include <utility>
 #include <vector>
 
+#include "audio/audio_buffer.h"
 #include "channel/fading.h"
 #include "channel/link_budget.h"
-#include "core/config.h"
-#include "core/simulator.h"
 #include "core/sweep_runner.h"
 #include "dsp/types.h"
+#include "fm/receiver.h"
+#include "fm/stereo_decoder.h"
 #include "fm/transmitter.h"
+#include "rx/car.h"
 #include "rx/multitag.h"
+#include "rx/phone_chain.h"
 #include "rx/rds_path.h"
 #include "survey/spectrum_db.h"
 #include "tag/antenna.h"
@@ -62,6 +65,16 @@ namespace fmbs::core {
 /// real tag frames packets with guard time). Part of the public contract —
 /// the ALOHA vulnerability window is the payload extended by this guard.
 inline constexpr double kBurstGuardSeconds = 0.01;
+
+/// Which device decodes the backscatter channel.
+enum class ReceiverKind { kPhone, kCar };
+
+/// Everything captured at one receiver.
+struct ReceiverCapture {
+  fm::ReceiverOutput fm;        // raw FM receiver output
+  audio::MonoBuffer mono;       // mono audio after the device chain
+  audio::StereoBuffer stereo;   // stereo audio after the device chain
+};
 
 /// Planar position of a tag or receiver in the scene (meters). Distances are
 /// Euclidean; far-field stations ignore geometry, positioned stations scale
@@ -161,7 +174,8 @@ struct ScenarioTag {
   double rds_level = 0.3;
   /// ...or an explicit FM_back baseband at the MPX rate (non-empty overrides
   /// the FSK payload; the tag is then on-air for the whole scenario and
-  /// reports no BER — used for audio tags and the legacy-simulator bridge).
+  /// reports no BER — used for audio tags and experiment_scenario's
+  /// measurement waveforms).
   dsp::rvec custom_baseband;
 
   // Link budget inputs.
@@ -187,8 +201,8 @@ struct ScenarioTag {
   /// air for the whole run and ignore this.
   tag::MacConfig mac;
   /// When set, overrides the geometric tag-to-receiver distance for every
-  /// receiver (the paper's single-knob experiments; also the bit-identity
-  /// bridge from SceneConfig::tag_rx_distance).
+  /// receiver (the paper's single-knob experiments, see
+  /// experiment_scenario).
   std::optional<units::Feet> distance_override;
   std::optional<channel::FadingConfig> fading;
 
@@ -515,16 +529,23 @@ inline bool tag_audible_at(const ScenarioTag& tag, units::Hertz tune_offset) {
 ScenarioReceiver phone_listening_to(const tag::SubcarrierConfig& subcarrier);
 
 /// A car receiver tuned to a planned subcarrier channel: whip antenna, car
-/// noise floor, two-ray ground propagation and mono decode, as in
-/// make_system's car branch.
+/// noise floor, two-ray ground propagation (poster 1.52 m up, whip at
+/// 1.5 m) and mono decode — the car of every paper experiment.
 ScenarioReceiver car_listening_to(const tag::SubcarrierConfig& subcarrier);
 
-/// Bridges a legacy single-tag SystemConfig + explicit baseband into a
-/// one-tag, one-or-two-receiver Scenario whose rendered receiver capture is
-/// bit-identical to core::simulate(config, baseband, duration).
-Scenario scenario_from_system(const SystemConfig& config,
-                              const dsp::rvec& tag_baseband,
-                              units::Seconds duration);
+/// The one-tag, one-station Scenario of a single-link measurement (paper
+/// section 5, Figs. 6-14 and 17b): `point`'s station program, ambient power
+/// and tag-to-receiver distance, with `tag_baseband` (FM_back at the MPX
+/// rate; see tag/baseband.h) as the tag's always-on baseband, zero-padded or
+/// truncated to `duration` and rendered with no settle window. Receiver 0 is
+/// a phone_listening_to or car_listening_to receiver on the tag's channel;
+/// `ambient_receiver` adds a receiver 1 of the same device tuned to the
+/// station itself (phone 1 of cooperative backscatter). Callers adjust the
+/// returned tag and receivers (antenna, fading, AGC) before running it.
+Scenario experiment_scenario(const ExperimentPoint& point,
+                             const dsp::rvec& tag_baseband,
+                             units::Seconds duration,
+                             bool ambient_receiver = false);
 
 /// Builds a multi-station scene from a surveyed city's band occupancy
 /// (survey::SpectrumDb, paper Fig. 4): every detectable channel within

@@ -11,7 +11,6 @@
 #include "channel/awgn.h"
 #include "channel/fading.h"
 #include "channel/superpose.h"
-#include "core/simulator.h"
 #include "dsp/fir.h"
 #include "dsp/nco.h"
 #include "fm/demodulator.h"

@@ -35,7 +35,7 @@ class StationCache {
 
   class SceneScope;
 
-  /// Process-wide instance used by core::simulate.
+  /// Process-wide instance used by the scenario, streaming and fleet engines.
   static StationCache& instance();
 
   /// Returns the rendered station for (config, duration), rendering it on

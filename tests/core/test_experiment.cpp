@@ -4,29 +4,38 @@
 
 #include <sstream>
 
+#include "core/scenario.h"
+
 namespace fmbs::core {
 namespace {
 
-TEST(MakeSystem, PhoneDefaults) {
+TEST(ExperimentScenario, PhoneReceiver) {
   ExperimentPoint point;
   point.tag_power = units::Dbm{-42.0};
   point.distance = units::Feet{7.0};
-  const SystemConfig cfg = make_system(point);
-  EXPECT_EQ(cfg.scene.tag_power.raw(), -42.0);
-  EXPECT_EQ(cfg.scene.tag_rx_distance.raw(), 7.0);
-  EXPECT_EQ(cfg.receiver, ReceiverKind::kPhone);
-  EXPECT_EQ(cfg.scene.rx_noise_200khz.raw(),
+  const Scenario sc = experiment_scenario(point, {}, units::Seconds{0.1});
+  ASSERT_EQ(sc.tags.size(), 1U);
+  ASSERT_EQ(sc.receivers.size(), 1U);
+  EXPECT_EQ(sc.tags[0].tag_power.raw(), -42.0);
+  ASSERT_TRUE(sc.tags[0].distance_override.has_value());
+  EXPECT_EQ(sc.tags[0].distance_override->raw(), 7.0);
+  EXPECT_EQ(sc.receivers[0].kind, ReceiverKind::kPhone);
+  EXPECT_EQ(receiver_noise_floor(sc.receivers[0]).raw(),
             channel::ReceiverNoise::kPhonePer200kHz.raw());
 }
 
-TEST(MakeSystem, CarOverrides) {
+TEST(ExperimentScenario, CarReceiver) {
   ExperimentPoint point;
   point.receiver = ReceiverKind::kCar;
-  const SystemConfig cfg = make_system(point);
-  EXPECT_EQ(cfg.scene.rx_noise_200khz.raw(),
+  const Scenario sc = experiment_scenario(point, {}, units::Seconds{0.1});
+  ASSERT_EQ(sc.receivers.size(), 1U);
+  const ScenarioReceiver& rx = sc.receivers[0];
+  EXPECT_EQ(rx.kind, ReceiverKind::kCar);
+  EXPECT_EQ(receiver_noise_floor(rx).raw(),
             channel::ReceiverNoise::kCarPer200kHz.raw());
-  EXPECT_TRUE(cfg.stereo_decoder.force_mono);
-  EXPECT_GT(cfg.scene.link.rx_antenna_gain.raw(), 0.0);
+  EXPECT_TRUE(rx.stereo_decoder.force_mono);
+  EXPECT_GT(receiver_antenna_gain(rx).raw(), 0.0);
+  EXPECT_TRUE(rx.link.use_two_ray);
 }
 
 TEST(ToneSnr, StrongCloseToneIsClean) {

@@ -1,6 +1,6 @@
 // Property tests for the multi-tag scenario engine:
-//  * a one-tag scenario is bit-identical to the legacy single-tag simulator
-//    (same RF scene, same noise draws, same receiver chain),
+//  * the experiment harness's one-tag scenario builder renders exactly the
+//    scenario it documents (same RF scene, noise draws and receiver chain),
 //  * K tags on K disjoint channels each decode exactly as they do solo
 //    (spectrum separation really isolates them),
 //  * the demod router, channel planner and audibility rules behave.
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "audio/tone.h"
 #include "fm/station_cache.h"
@@ -20,74 +21,78 @@
 namespace fmbs::core {
 namespace {
 
-// ---- Bit-identity with the legacy simulator --------------------------------
+// ---- The experiment harness's scenario builder ----------------------------
 
-TEST(ScenarioEngine, SingleTagBitIdenticalToSimulator) {
-  SystemConfig cfg;
-  cfg.station.program.genre = audio::ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 5;
-  cfg.scene.tag_power = units::Dbm{-35.0};
-  cfg.scene.tag_rx_distance = units::Feet{6.0};
-  cfg.scene.noise_seed = 99;
-
-  const double duration = 0.4;
-  const audio::MonoBuffer tone =
-      audio::make_tone(3000.0, 0.8, duration, fm::kAudioRate);
-  const dsp::rvec bb = tag::compose_overlay_baseband(tone, kOverlayLevel);
-
-  const SimulationResult legacy = simulate(cfg, bb, units::Seconds{duration});
-  const ScenarioResult sc =
-      ScenarioEngine().run(scenario_from_system(cfg, bb, units::Seconds{duration}));
-
-  ASSERT_EQ(sc.receivers.size(), 1U);
-  const audio::MonoBuffer& a = legacy.backscatter_rx.mono;
-  const audio::MonoBuffer& b = sc.receivers[0].capture.mono;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.samples[i], b.samples[i]) << "sample " << i;
-  }
-  // Stereo chain too: the full capture matches, not just the mono downmix.
-  ASSERT_EQ(legacy.backscatter_rx.stereo.size(),
-            sc.receivers[0].capture.stereo.size());
-  for (std::size_t i = 0; i < legacy.backscatter_rx.stereo.size(); ++i) {
-    ASSERT_EQ(legacy.backscatter_rx.stereo.left[i],
-              sc.receivers[0].capture.stereo.left[i]) << "L sample " << i;
-  }
-}
-
-TEST(ScenarioEngine, BridgeCarriesAmbientReceiverAndFading) {
-  SystemConfig cfg;
-  cfg.station.program.genre = audio::ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 6;
-  cfg.scene.noise_seed = 7;
-  cfg.scene.fading = channel::fading_for_mobility(channel::Mobility::kWalking);
-  cfg.capture_ambient_receiver = true;
-
+TEST(ScenarioEngine, ExperimentScenarioMatchesFieldByFieldScenario) {
   const double duration = 0.3;
   const audio::MonoBuffer tone =
       audio::make_tone(2000.0, 0.8, duration, fm::kAudioRate);
   const dsp::rvec bb = tag::compose_overlay_baseband(tone, kOverlayLevel);
+  const auto fading = channel::fading_for_mobility(channel::Mobility::kWalking);
 
-  const SimulationResult legacy = simulate(cfg, bb, units::Seconds{duration});
-  const ScenarioResult sc =
-      ScenarioEngine().run(scenario_from_system(cfg, bb, units::Seconds{duration}));
+  for (const ReceiverKind kind : {ReceiverKind::kPhone, ReceiverKind::kCar}) {
+    ExperimentPoint point;
+    point.tag_power = units::Dbm{-35.0};
+    point.distance = units::Feet{6.0};
+    point.genre = audio::ProgramGenre::kNews;
+    point.stereo_station = false;
+    point.receiver = kind;
+    point.seed = 7;
+    point.station_seed = 6;
+    Scenario built = experiment_scenario(point, bb, units::Seconds{duration},
+                                         /*ambient_receiver=*/true);
+    built.tags[0].fading = fading;
 
-  ASSERT_TRUE(legacy.ambient_rx.has_value());
-  ASSERT_EQ(sc.receivers.size(), 2U);
-  const audio::MonoBuffer& a = legacy.ambient_rx->mono;
-  const audio::MonoBuffer& b = sc.receivers[1].capture.mono;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.samples[i], b.samples[i]) << "ambient sample " << i;
+    // The same measurement written out field by field.
+    Scenario manual;
+    manual.station.program.genre = audio::ProgramGenre::kNews;
+    manual.station.program.stereo = false;
+    manual.station.seed = 6;
+    manual.settle = units::Seconds{0.0};
+    manual.duration = units::Seconds{duration};
+    manual.seed = 7 + 0x200000;
+    ScenarioTag t;
+    t.custom_baseband = bb;
+    t.tag_power = units::Dbm{-35.0};
+    t.distance_override = units::Feet{6.0};
+    t.fading = fading;
+    t.fading_seed = 7 + 0x200000 + 1;
+    manual.tags.push_back(t);
+    ScenarioReceiver rx;
+    rx.kind = kind;
+    rx.tune_offset = units::Hertz{fm::kDefaultBackscatterShiftHz};
+    rx.noise_seed = 7 + 0x200000;
+    if (kind == ReceiverKind::kCar) {
+      rx.stereo_decoder.force_mono = true;
+      rx.link.use_two_ray = true;
+      rx.link.tag_height = units::Meters{1.52};
+      rx.link.rx_height = units::Meters{1.5};
+    }
+    manual.receivers.push_back(rx);
+    ScenarioReceiver ambient = rx;
+    ambient.tune_offset = units::Hertz{0.0};
+    ambient.noise_seed = 7 + 0x200000 + 0x9e3779b9ULL;
+    manual.receivers.push_back(ambient);
+
+    const ScenarioResult a = ScenarioEngine().run(built);
+    const ScenarioResult b = ScenarioEngine().run(manual);
+    ASSERT_EQ(a.receivers.size(), 2U);
+    ASSERT_EQ(b.receivers.size(), 2U);
+    for (std::size_t r = 0; r < 2; ++r) {
+      const ReceiverCapture& ca = a.receivers[r].capture;
+      const ReceiverCapture& cb = b.receivers[r].capture;
+      ASSERT_FALSE(ca.mono.samples.empty());
+      EXPECT_EQ(ca.mono.samples, cb.mono.samples) << "receiver " << r;
+      EXPECT_EQ(ca.stereo.left, cb.stereo.left) << "receiver " << r;
+      EXPECT_EQ(ca.stereo.right, cb.stereo.right) << "receiver " << r;
+    }
   }
-  const audio::MonoBuffer& ab = legacy.backscatter_rx.mono;
-  const audio::MonoBuffer& bb2 = sc.receivers[0].capture.mono;
-  ASSERT_EQ(ab.size(), bb2.size());
-  for (std::size_t i = 0; i < ab.size(); ++i) {
-    ASSERT_EQ(ab.samples[i], bb2.samples[i]) << "backscatter sample " << i;
-  }
+
+  // An empty baseband is an unmodulated always-on switch: one zero sample,
+  // so the engine does not mistake the tag for an FSK payload tag.
+  const Scenario idle =
+      experiment_scenario(ExperimentPoint{}, {}, units::Seconds{duration});
+  EXPECT_EQ(idle.tags[0].custom_baseband, dsp::rvec(1, 0.0F));
 }
 
 // ---- Disjoint channels isolate tags ----------------------------------------
@@ -537,6 +542,30 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   nan_position.tags[0].position.x_m = nan;
   EXPECT_THROW(resolve_scenario_plan(nan_position), std::invalid_argument);
 
+  // Scene inputs are rejected before they select a station or index a link
+  // table, with a message naming the entity and the field.
+  auto expect_rejected = [](const Scenario& sc, const std::string& field) {
+    try {
+      resolve_scenario_plan(sc);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  Scenario nan_station_position = with_tag;
+  nan_station_position.stations[0].position = ScenePosition{nan, 0.0};
+  expect_rejected(nan_station_position, "station \"st\" position");
+
+  Scenario zero_distance = with_tag;
+  zero_distance.tags[0].name = "t0";
+  zero_distance.tags[0].distance_override = units::Feet{0.0};
+  expect_rejected(zero_distance, "tag \"t0\" distance_override");
+
+  Scenario negative_distance = zero_distance;
+  negative_distance.tags[0].distance_override = units::Feet{-3.0};
+  expect_rejected(negative_distance, "tag \"t0\" distance_override");
+
 #ifdef NDEBUG
   // Strong unit types assert finiteness at construction when assertions are
   // live, so a NaN Seconds/Dbm only reaches the plan in release builds.
@@ -555,6 +584,28 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   Scenario nan_power = with_tag;
   nan_power.tags[0].tag_power = units::Dbm{nan};
   EXPECT_THROW(resolve_scenario_plan(nan_power), std::invalid_argument);
+
+  Scenario nan_station_power = with_tag;
+  nan_station_power.stations[0].power = units::Dbm{nan};
+  expect_rejected(nan_station_power, "station \"st\" power");
+
+  Scenario nan_offset = with_tag;
+  nan_offset.stations[0].offset = units::Hertz{nan};
+  expect_rejected(nan_offset, "station \"st\" offset");
+
+  Scenario nan_distance = zero_distance;
+  nan_distance.tags[0].distance_override = units::Feet{nan};
+  expect_rejected(nan_distance, "tag \"t0\" distance_override");
+
+  Scenario nan_direct = with_tag;
+  nan_direct.receivers[0].name = "rx0";
+  nan_direct.receivers[0].direct_power = units::Dbm{nan};
+  expect_rejected(nan_direct, "receiver \"rx0\" direct_power");
+
+  Scenario nan_noise = with_tag;
+  nan_noise.receivers[0].name = "rx0";
+  nan_noise.receivers[0].noise_200khz = units::Dbm{nan};
+  expect_rejected(nan_noise, "receiver \"rx0\" noise_200khz");
 #endif
 }
 

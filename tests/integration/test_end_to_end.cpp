@@ -6,6 +6,7 @@
 
 #include "core/fmbs.h"
 #include "dsp/spectrum.h"
+#include "support/one_tag_scene.h"
 
 namespace fmbs {
 namespace {
@@ -20,12 +21,6 @@ using tag::DataRate;
 // backscattering a 2 kHz tone over a station playing a 700 Hz tone program
 // and checking BOTH tones appear in the received audio.
 TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-20.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
-
   const double duration = 1.0;
   // Station program: replace silence with a pure 700 Hz tone by rendering a
   // custom station signal. Easiest physical route: use the news genre? No —
@@ -37,9 +32,13 @@ TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
   const audio::MonoBuffer tone =
       audio::make_tone(2000.0, 1.0, duration, fm::kAudioRate);
   const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
+  core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
+                                          units::Dbm{-20.0}, units::Feet{4.0});
+  sc.station.program.genre = ProgramGenre::kSilence;
+  sc.station.program.stereo = false;
+  const core::ScenarioResult result = core::ScenarioEngine().run(sc);
 
-  const auto& mono = sim.backscatter_rx.mono;
+  const auto& mono = result.receivers[0].capture.mono;
   ASSERT_GT(mono.size(), 4096U);
   // The backscattered tone must dominate the audio band.
   const double snr = dsp::tone_snr_db(mono.samples, fm::kAudioRate, 2000.0,
@@ -49,19 +48,17 @@ TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
 
 // With a program playing, the receiver hears program + backscatter (overlay).
 TEST(EndToEnd, OverlayPreservesBothProgramAndBackscatter) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 11;
-  cfg.scene.tag_power = units::Dbm{-20.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
-
   const double duration = 2.0;
   const audio::MonoBuffer tone =
       audio::make_tone(11000.0, 0.8, duration, fm::kAudioRate);
   const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
-  const auto& mono = sim.backscatter_rx.mono;
+  core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
+                                          units::Dbm{-20.0}, units::Feet{4.0});
+  sc.station.program.genre = ProgramGenre::kNews;
+  sc.station.program.stereo = false;
+  sc.station.seed = 11;
+  const core::ScenarioResult result = core::ScenarioEngine().run(sc);
+  const auto& mono = result.receivers[0].capture.mono;
 
   // Tone present at 11 kHz (above speech)...
   const double p_tone = dsp::band_power(mono.samples, fm::kAudioRate, 10800.0,

@@ -6,6 +6,7 @@
 #include "core/fmbs.h"
 #include "fm/rds.h"
 #include "dsp/spectrum.h"
+#include "support/one_tag_scene.h"
 
 namespace fmbs {
 namespace {
@@ -49,21 +50,20 @@ TEST(Extensions, CodedLinkCleanAtStrongSignal) {
 // empty) 57 kHz subband of the backscatter channel; an RDS-capable receiver
 // tuned there decodes the PS name.
 TEST(Extensions, RdsBackscatterCarriesStationText) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-25.0};
-  cfg.scene.tag_rx_distance = units::Feet{3.0};
-
   const double duration = 2.5;
   const auto groups = fm::make_ps_groups("POSTER01");
   const auto bits = fm::serialize_groups(groups);
   const auto num_samples =
       static_cast<std::size_t>(duration * fm::kMpxRate);
   const auto bb = tag::compose_rds_baseband(bits, num_samples, 0.3);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
+  core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
+                                          units::Dbm{-25.0}, units::Feet{3.0});
+  sc.station.program.genre = ProgramGenre::kNews;
+  sc.station.program.stereo = false;
+  const core::ScenarioResult result = core::ScenarioEngine().run(sc);
 
-  const auto rds = fm::decode_rds(sim.backscatter_rx.fm.mpx, fm::kMpxRate);
+  const auto rds =
+      fm::decode_rds(result.receivers[0].capture.fm.mpx, fm::kMpxRate);
   EXPECT_EQ(rds.ps_name, "POSTER01");
 }
 
@@ -73,21 +73,21 @@ TEST(Extensions, SingleSidebandEquivalentInChannel) {
   ExperimentPoint point;
   point.tag_power = units::Dbm{-30.0};
   point.distance = units::Feet{4.0};
-  core::SystemConfig base = core::make_system(point);
+  const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
+  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
+  core::Scenario base =
+      core::experiment_scenario(point, bb, units::Seconds{1.0});
   base.station.program.genre = ProgramGenre::kSilence;
   base.station.program.stereo = false;
 
-  const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-
   auto snr_for = [&](tag::SubcarrierMode mode) {
-    core::SystemConfig cfg = base;
-    cfg.tag.subcarrier.mode = mode;
-    const auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
+    core::Scenario sc = base;
+    sc.tags[0].subcarrier.mode = mode;
+    const core::ScenarioResult result = core::ScenarioEngine().run(sc);
+    const auto& mono = result.receivers[0].capture.mono;
     const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
     return dsp::tone_snr_db(
-        std::span<const float>(sim.backscatter_rx.mono.samples)
-            .subspan(skip, sim.backscatter_rx.mono.size() - skip),
+        std::span<const float>(mono.samples).subspan(skip, mono.size() - skip),
         fm::kAudioRate, 1000.0, 100.0, 15000.0);
   };
   const double square = snr_for(tag::SubcarrierMode::kBandlimitedSquare);
@@ -99,20 +99,19 @@ TEST(Extensions, SingleSidebandEquivalentInChannel) {
 // *below* the station (e.g. Seattle -200 kHz). The square wave's mirror
 // copy serves that channel directly; the receiver tunes down-band.
 TEST(Extensions, NegativeShiftBackscatterWorks) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-25.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
-  cfg.tag.subcarrier.shift = units::Hertz{-600000.0};
-
   const auto tone = audio::make_tone(1500.0, 1.0, 1.0, fm::kAudioRate);
   const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
+  core::Scenario sc = test::one_tag_scene(bb, units::Seconds{1.0},
+                                          units::Dbm{-25.0}, units::Feet{4.0});
+  sc.station.program.genre = ProgramGenre::kSilence;
+  sc.station.program.stereo = false;
+  sc.tags[0].subcarrier.shift = units::Hertz{-600000.0};
+  sc.receivers[0].tune_offset = sc.tags[0].subcarrier.shift;
+  const core::ScenarioResult result = core::ScenarioEngine().run(sc);
+  const auto& mono = result.receivers[0].capture.mono;
   const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
   const double snr = dsp::tone_snr_db(
-      std::span<const float>(sim.backscatter_rx.mono.samples)
-          .subspan(skip, sim.backscatter_rx.mono.size() - skip),
+      std::span<const float>(mono.samples).subspan(skip, mono.size() - skip),
       fm::kAudioRate, 1500.0, 100.0, 15000.0);
   EXPECT_GT(snr, 25.0) << "down-band backscatter channel not receivable";
 }
@@ -126,14 +125,15 @@ TEST(Extensions, FrameCrcNeverLies) {
     point.tag_power = units::Dbm{power};
     point.distance = units::Feet{14.0};
     point.genre = ProgramGenre::kNews;
-    core::SystemConfig cfg = core::make_system(point);
 
     const std::vector<std::uint8_t> payload{'f', 'm', 'b', 's', '!', 0x00, 0xFF};
     const auto bits = tag::encode_frame(payload);
     const auto wave = tag::modulate_fsk(bits, DataRate::k1600bps, fm::kAudioRate);
     const auto bb = tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-    const auto sim = core::simulate(cfg, bb, units::Seconds{wave.duration_seconds() + 0.2});
-    const auto demod = rx::demodulate_fsk(sim.backscatter_rx.mono,
+    const core::ScenarioResult result =
+        core::ScenarioEngine().run(core::experiment_scenario(
+            point, bb, units::Seconds{wave.duration_seconds() + 0.2}));
+    const auto demod = rx::demodulate_fsk(result.receivers[0].capture.mono,
                                           DataRate::k1600bps, bits.size());
     const auto frame = tag::decode_frame(demod.bits);
     if (frame.has_value()) {
@@ -150,18 +150,17 @@ TEST(Extensions, StereoAndMonoPathsAreOrthogonal) {
   point.distance = units::Feet{3.0};
   point.genre = ProgramGenre::kSilence;
   point.stereo_station = false;
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
 
   // Tag sends a 2 kHz tone in the stereo stream (with pilot).
   const auto tone = audio::make_tone(2000.0, 1.0, 1.2, fm::kAudioRate);
   const auto bb = tag::compose_stereo_baseband(tone, /*insert_pilot=*/true);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{1.2});
-  ASSERT_TRUE(sim.backscatter_rx.fm.stereo_mode);
+  const core::ScenarioResult result = core::ScenarioEngine().run(
+      core::experiment_scenario(point, bb, units::Seconds{1.2}));
+  const core::ReceiverCapture& capture = result.receivers[0].capture;
+  ASSERT_TRUE(capture.fm.stereo_mode);
 
-  const auto side = sim.backscatter_rx.stereo.side();
-  const auto mono = sim.backscatter_rx.mono;
+  const auto side = capture.stereo.side();
+  const auto mono = capture.mono;
   const double p_side = dsp::band_power(side.samples, fm::kAudioRate, 1900.0,
                                         2100.0);
   const double p_mono = dsp::band_power(mono.samples, fm::kAudioRate, 1900.0,
