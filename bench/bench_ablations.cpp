@@ -31,8 +31,8 @@ double tone_snr_for_subcarrier(const tag::SubcarrierConfig& subcarrier) {
   const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
   const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
   core::Scenario sc = core::experiment_scenario(point, bb, units::Seconds{1.0});
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = audio::ProgramGenre::kSilence;
+  sc.stations[0].config.program.stereo = false;
   sc.tags[0].subcarrier = subcarrier;
   sc.receivers[0].tune_offset = subcarrier.shift;
   const core::ScenarioResult result = core::ScenarioEngine().run(sc);
@@ -148,7 +148,7 @@ int main() {
       const auto bb = tag::compose_overlay_baseband(wave, core::kOverlayLevel);
       core::Scenario sc = core::experiment_scenario(
           point, bb, units::Seconds{wave.duration_seconds() + 0.15});
-      sc.station.preemphasis = emphasis;
+      sc.stations[0].config.preemphasis = emphasis;
       sc.receivers[0].stereo_decoder.deemphasis = emphasis;
       const core::ScenarioResult result = core::ScenarioEngine().run(sc);
       const auto demod = rx::demodulate_fsk(result.receivers[0].capture.mono,

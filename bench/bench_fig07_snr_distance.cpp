@@ -23,10 +23,13 @@ fmbs::core::Scenario tone_scenario(double power_dbm, double distance_ft) {
   core::Scenario sc;
   sc.name = "fig07";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
   // Fig. 6/7 methodology: "an FM station transmitting no audio information".
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.power = units::Dbm{power_dbm};
+  sc.stations = {station};
   sc.settle = units::Seconds{0.0};
   sc.duration = units::Seconds{kDuration};
 
@@ -35,7 +38,6 @@ fmbs::core::Scenario tone_scenario(double power_dbm, double distance_ft) {
   t.custom_baseband = tag::compose_overlay_baseband(
       audio::make_tone(kToneHz, 1.0, kDuration, fm::kAudioRate),
       core::kOverlayLevel);
-  t.tag_power = units::Dbm{power_dbm};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));

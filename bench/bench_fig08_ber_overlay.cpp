@@ -20,8 +20,11 @@ fmbs::core::Scenario ber_scenario(double power_dbm, double distance_ft,
   core::Scenario sc;
   sc.name = "fig08";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.power = units::Dbm{power_dbm};
+  sc.stations = {station};
   sc.duration = units::Seconds{
       static_cast<double>(bits) / tag::bits_per_second(rate) + 0.15};
 
@@ -29,7 +32,6 @@ fmbs::core::Scenario ber_scenario(double power_dbm, double distance_ft,
   t.name = "tag";
   t.rate = rate;
   t.num_bits = bits;
-  t.tag_power = units::Dbm{power_dbm};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));

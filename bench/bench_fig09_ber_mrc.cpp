@@ -45,8 +45,11 @@ core::Scenario mrc_scenario(std::size_t reps, double distance_ft) {
   core::Scenario sc;
   sc.name = "fig09";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.power = units::Dbm{-40.0};
+  sc.stations = {station};
   sc.settle = units::Seconds{0.0};  // the lead-in lives inside the custom baseband
 
   const audio::MonoBuffer all =
@@ -58,7 +61,6 @@ core::Scenario mrc_scenario(std::size_t reps, double distance_ft) {
   t.custom_baseband = tag::compose_overlay_baseband(
       audio::concat(audio::make_silence(kSettleSeconds, fm::kAudioRate), all),
       core::kOverlayLevel);
-  t.tag_power = units::Dbm{-40.0};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));

@@ -33,9 +33,12 @@ core::Scenario stereo_scenario(std::size_t plan, tag::DataRate rate,
   core::Scenario sc;
   sc.name = "fig10";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = true;  // news broadcasting in stereo
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = true;  // news broadcasting in stereo
+  station.power = units::Dbm{-30.0};
+  sc.stations = {station};
   sc.settle = units::Seconds{0.0};  // the lead-in lives inside the custom baseband
 
   const audio::MonoBuffer wave = audio::concat(
@@ -50,7 +53,6 @@ core::Scenario stereo_scenario(std::size_t plan, tag::DataRate rate,
   t.custom_baseband =
       stereo ? tag::compose_stereo_baseband(wave, /*insert_pilot=*/false)
              : tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-  t.tag_power = units::Dbm{-30.0};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));

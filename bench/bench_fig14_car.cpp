@@ -30,16 +30,18 @@ core::Scenario car_scenario(double power_dbm, double distance_ft,
   core::Scenario sc;
   sc.name = "fig14";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = genre;
-  sc.station.program.stereo = false;
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
+  station.config.program.genre = genre;
+  station.config.program.stereo = false;
+  station.power = units::Dbm{power_dbm};
+  sc.stations = {station};
   sc.settle = units::Seconds{0.0};
   sc.duration = units::Seconds{duration};
 
   core::ScenarioTag t;
   t.name = "poster";
   t.custom_baseband = baseband;
-  t.tag_power = units::Dbm{power_dbm};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::car_listening_to(sc.tags[0].subcarrier));

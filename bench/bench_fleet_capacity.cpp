@@ -166,15 +166,17 @@ std::pair<double, double> phy_ber_point(tag::DataRate rate, double distance_ft,
                                         double noise_dbm_override) {
   core::Scenario sc;
   sc.name = "cal";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 7;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 7;
+  station.power = units::Dbm{-30.0};
+  sc.stations = {station};
   sc.seed = seed;
   core::ScenarioTag t;
   t.name = "cal-tag";
   t.rate = rate;
   t.num_bits = num_bits;
-  t.tag_power = units::Dbm{-30.0};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(t);
   sc.duration = units::Seconds{

@@ -21,15 +21,18 @@ core::Scenario rds_scenario(double distance_ft, bool car) {
   core::Scenario sc;
   sc.name = "rds_range";
   sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
+  core::ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared station render
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  // A low-power poster: the knee lands mid-grid.
+  station.power = units::Dbm{-35.0};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.75};  // 8 RadioText groups at 1187.5 bps ~ 0.70 s
 
   core::ScenarioTag t;
   t.name = "ad-poster";
   t.rds_radiotext = kAdText;
-  t.tag_power = units::Dbm{-35.0};  // low-power poster: the knee lands mid-grid
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(car ? core::car_listening_to(sc.tags[0].subcarrier)

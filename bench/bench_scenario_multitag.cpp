@@ -35,9 +35,12 @@ using namespace fmbs;
 core::Scenario spreading_scenario(std::size_t num_tags) {
   core::Scenario sc;
   sc.name = "spread" + std::to_string(num_tags);
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 2;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 2;
+  station.power = units::Dbm{-30.0};
+  sc.stations = {station};
   sc.seed = 2;
   sc.duration = units::Seconds{0.25};
   const auto plan = tag::plan_subcarrier_channels(num_tags);
@@ -48,7 +51,6 @@ core::Scenario spreading_scenario(std::size_t num_tags) {
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 256;
     t.packet_bits = 64;
-    t.tag_power = units::Dbm{-30.0};
     t.distance_override = units::Feet{5.0};
     sc.tags.push_back(std::move(t));
     sc.receivers.push_back(core::phone_listening_to(plan[i].subcarrier));
@@ -71,9 +73,12 @@ core::Scenario sharing_scenario(const std::vector<double>& starts,
                                 double window_seconds, std::uint64_t seed) {
   core::Scenario sc;
   sc.name = "share-" + std::to_string(seed);
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = seed;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = seed;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = seed;
   sc.duration = units::Seconds{window_seconds};
   for (std::size_t i = 0; i < starts.size(); ++i) {
@@ -81,7 +86,6 @@ core::Scenario sharing_scenario(const std::vector<double>& starts,
     t.name = "burst" + std::to_string(i);
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 96;
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{3.0};
     t.start = units::Seconds{starts[i]};
     sc.tags.push_back(std::move(t));

@@ -43,9 +43,10 @@ int main() {
   channel::LinkBudgetConfig link = phone.link;
   link.tag_antenna_gain = units::Db{poster.antenna.effective_gain_db()};
   link.rx_antenna_gain = core::receiver_antenna_gain(phone);
+  // The station's power is the ambient power at the poster and the phone.
+  const units::Dbm ambient = scene.stations[0].power;
   const channel::BackscatterPath path = channel::compute_backscatter_path(
-      poster.tag_power, phone.direct_power,
-      poster.distance_override->to_meters(), link);
+      ambient, ambient, poster.distance_override->to_meters(), link);
   std::printf("scene: backscatter reaches the phone at %.1f dBm (budget %+.1f dB)\n",
               path.sideband_power.raw(), path.budget.backscatter_gain.raw());
 

@@ -6,15 +6,17 @@
 // Protocol (line-oriented, one client at a time, 127.0.0.1 only):
 //   STATUS\n  -> one JSON line: uptime, station RDS, every decoded link
 //   QUIT\n    -> BYE, connection closes
-// A request line longer than 256 bytes gets ERR and the connection closes.
+// A request line longer than 256 bytes gets ERR and the connection closes;
+// a client idle for 2 s is disconnected, so it cannot hold up the others.
 //
 // Modes:
 //   (default)        daemon: real-time city run (--minutes N, default 10;
 //                    --port P, default 7337), serves until the run ends
 //   --smoke          CI acceptance: short accelerated run on an ephemeral
 //                    port, checks an over-long request line is refused,
-//                    self-queries STATUS, verifies the station PS name and
-//                    an FSK payload decoded, exits 0/1
+//                    holds an idle connection open, self-queries STATUS,
+//                    verifies the station PS name and an FSK payload
+//                    decoded and the idle client closed, exits 0/1
 //   --soak           CI memory gate: 60 s simulated city run (accelerated),
 //                    asserts the streaming engine's bounded-buffer ledger
 //                    is duration-invariant (within 1.1x of a 5 s run)
@@ -57,15 +59,17 @@ core::Scenario city_scene(double duration_seconds) {
   sc.name = "radio-server";
   sc.duration = units::Seconds{duration_seconds};
   sc.seed = 7337;
-  sc.station.program.stereo = false;
-  sc.station.rds_level = 0.05;
-  sc.station.rds_ps_name = "FMBS SRV";
+  core::ScenarioStation station;
+  station.config.program.stereo = false;
+  station.config.rds_level = 0.05;
+  station.config.rds_ps_name = "FMBS SRV";
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
 
   core::ScenarioTag rt;
   rt.name = "poster-rt";
   rt.rds_radiotext = "FMBS DEMO RT";
   rt.start = units::Seconds{0.3};
-  rt.tag_power = units::Dbm{-25.0};
   rt.distance_override = units::Feet{4.0};
   sc.tags.push_back(rt);
 
@@ -78,7 +82,6 @@ core::Scenario city_scene(double duration_seconds) {
     t.num_bits = 64;
     t.packet_bits = 32;
     t.start = units::Seconds{1.0 + 7.0 * static_cast<double>(k)};
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{4.0};
     sc.tags.push_back(std::move(t));
   }
@@ -203,6 +206,17 @@ int make_listener(uint16_t port, uint16_t* bound_port) {
   return fd;
 }
 
+/// How long the server waits for a client's next byte before closing it:
+/// clients are served one at a time, so an idle one would block every other
+/// STATUS poll.
+constexpr int kClientIdleSeconds = 2;
+
+void set_receive_timeout(int fd, int seconds) {
+  timeval timeout{};
+  timeout.tv_sec = seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+}
+
 /// Longest request line the server buffers; a client that sends more before
 /// its newline is answered ERR and disconnected, so a peer that never sends
 /// '\n' cannot grow the server's memory.
@@ -210,7 +224,8 @@ constexpr std::size_t kMaxLineBytes = 256;
 
 enum class LineRead { kLine, kClosed, kTooLong };
 
-/// Reads one '\n'-terminated line of at most `max_bytes` (CR dropped).
+/// Reads one '\n'-terminated line of at most `max_bytes` (CR dropped). A
+/// receive timeout reads as kClosed.
 LineRead read_line(int fd, std::string* line, std::size_t max_bytes) {
   line->clear();
   char c = 0;
@@ -234,12 +249,14 @@ void send_all(int fd, const std::string& s) {
 }
 
 /// Accept loop; exits when the listener is shut down. One client at a time —
-/// a STATUS poll is a one-round-trip conversation.
+/// a STATUS poll is a one-round-trip conversation — and a client silent for
+/// kClientIdleSeconds is closed.
 void serve(int listen_fd, const TagFeed& feed,
            std::chrono::steady_clock::time_point start) {
   while (true) {
     const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) return;  // listener closed: server is done
+    set_receive_timeout(client, kClientIdleSeconds);
     std::string line;
     while (true) {
       const LineRead read = read_line(client, &line, kMaxLineBytes);
@@ -324,10 +341,20 @@ int connect_local(uint16_t port) {
   return fd;
 }
 
-/// One STATUS round trip against a local server.
+/// True when the peer closes `fd` within its receive timeout.
+bool closed_by_peer(int fd) {
+  char c = 0;
+  const ssize_t n = ::recv(fd, &c, 1, 0);
+  return n == 0 || (n < 0 && errno == ECONNRESET);
+}
+
+/// One STATUS round trip against a local server; "" when unanswered within
+/// 10 s, so a server that never answers fails the check instead of hanging
+/// it.
 std::string query_status(uint16_t port) {
   const int fd = connect_local(port);
   if (fd < 0) return "";
+  set_receive_timeout(fd, 10);
   send_all(fd, "STATUS\n");
   std::string line;
   const bool ok = read_line(fd, &line, line.max_size()) == LineRead::kLine;
@@ -342,17 +369,13 @@ std::string query_status(uint16_t port) {
 bool long_line_refused(uint16_t port) {
   const int fd = connect_local(port);
   if (fd < 0) return false;
-  timeval timeout{};
-  timeout.tv_sec = 10;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  set_receive_timeout(fd, 10);
   send_all(fd, std::string(300, 'S') + "\n");
   std::string reply;
   const bool answered =
       read_line(fd, &reply, reply.max_size()) == LineRead::kLine &&
                         reply.rfind("ERR", 0) == 0;
-  char c = 0;
-  const ssize_t n = ::recv(fd, &c, 1, 0);
-  const bool closed = n == 0 || (n < 0 && errno == ECONNRESET);
+  const bool closed = closed_by_peer(fd);
   ::close(fd);
   return answered && closed;
 }
@@ -379,12 +402,26 @@ int run_smoke() {
   });
   const bool refused = long_line_refused(port);
 
-  // Poll STATUS until the run finishes (bounded by a generous wall cap).
+  // A client that connects and never speaks: the server must time it out,
+  // or every STATUS poll below waits behind it.
+  const int idle = connect_local(port);
+
+  // Poll STATUS until the run finishes (bounded by a generous wall cap); an
+  // unanswered poll ends the loop.
   std::string status;
   for (int i = 0; i < 600; ++i) {
     status = query_status(port);
-    if (status.find("\"running\": false") != std::string::npos) break;
+    if (status.empty() ||
+        status.find("\"running\": false") != std::string::npos) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  bool idle_closed = false;
+  if (idle >= 0) {
+    set_receive_timeout(idle, 10);
+    idle_closed = closed_by_peer(idle);
+    ::close(idle);
   }
   engine.join();
   ::shutdown(listen_fd, SHUT_RDWR);
@@ -399,6 +436,10 @@ int run_smoke() {
   }
   if (status.find("\"running\": false") == std::string::npos) {
     std::cerr << "smoke FAIL: run never completed over the socket\n";
+    return 1;
+  }
+  if (!idle_closed) {
+    std::cerr << "smoke FAIL: idle client not closed by the server\n";
     return 1;
   }
   if (status.find("\"ps\": \"FMBS SRV\"") == std::string::npos) {

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   // The phone hears the composite: station news + poster music/packet.
   audio::write_wav(out_dir + "/talking_poster_received.wav", received);
   audio::write_wav(out_dir + "/talking_poster_station_only.wav",
-                   sim.station->program.mid());
+                   sim.station_renders[0]->program.mid());
   std::printf("wrote %s/talking_poster_received.wav (what the user hears)\n",
               out_dir.c_str());
 

@@ -75,8 +75,8 @@ double run_tone_snr(const ExperimentPoint& point, units::Hertz tone,
   Scenario sc = experiment_scenario(point, bb, duration);
   // Fig. 6 methodology: "we simulate an FM station transmitting no audio
   // information (FM_audio = 0, a single tone at fc)".
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = audio::ProgramGenre::kSilence;
+  sc.stations[0].config.program.stereo = false;
   const ReceiverCapture capture = run_capture(sc);
 
   const audio::MonoBuffer& measured =

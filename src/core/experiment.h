@@ -29,6 +29,7 @@ inline constexpr double kOverlayLevel = 0.95;
 
 /// Common experiment knobs (one struct so benches read like the paper).
 struct ExperimentPoint {
+  /// Ambient FM power at the tag: experiment_scenario's station power.
   units::Dbm tag_power{-30.0};
   units::Feet distance{4.0};
   audio::ProgramGenre genre = audio::ProgramGenre::kNews;

@@ -34,6 +34,7 @@ struct BurstInfo {
   double start = 0.0;   ///< resolved payload start (settle included)
   double burst = 0.0;   ///< payload seconds
   std::size_t seg = 0;  ///< timeline segment of the burst midpoint
+  std::size_t station = 0;  ///< station the tag reflects in `seg`
   units::Hertz ch[2] = {units::Hertz{0.0},
                         units::Hertz{0.0}};  ///< backscatter channel(s)
   int nch = 0;
@@ -195,6 +196,25 @@ const char* to_string(FleetLinkResolution r) {
   return "?";
 }
 
+FleetEngine::FleetEngine(FleetEngineConfig config) : config_(config) {
+  // A NaN slips past every comparison in run(): a NaN margin would silently
+  // reclassify links, and a NaN or non-positive quantum cannot size a
+  // sub-scene.
+  if (!std::isfinite(config_.capture_margin.raw())) {
+    throw std::invalid_argument("FleetEngine: capture_margin must be finite");
+  }
+  const double band = config_.capture_ambiguity_band.raw();
+  if (!std::isfinite(band) || band < 0.0) {
+    throw std::invalid_argument(
+        "FleetEngine: capture_ambiguity_band must be finite and >= 0");
+  }
+  const double quantum = config_.subscene_quantum.raw();
+  if (!std::isfinite(quantum) || quantum <= 0.0) {
+    throw std::invalid_argument(
+        "FleetEngine: subscene_quantum must be finite and > 0");
+  }
+}
+
 FleetResult FleetEngine::run(const Scenario& sc) const {
   for (const ScenarioTag& t : sc.tags) {
     if (!t.custom_baseband.empty()) {
@@ -226,12 +246,9 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     b.start = plan.tags[i].start_seconds;
     b.burst = plan.tags[i].burst_seconds;
     b.seg = plan.segment_of_time(b.start + 0.5 * b.burst);
-    const double station_off =
-        plan.multi ? plan.station_offset[static_cast<std::size_t>(
-                         plan.selected_station[b.seg][i])]
-                   : 0.0;
-    b.nch = tag_backscatter_channels(sc.tags[i], units::Hertz{station_off},
-                                    b.ch);
+    b.station = static_cast<std::size_t>(plan.selected_station[b.seg][i]);
+    b.nch = tag_backscatter_channels(
+        sc.tags[i], units::Hertz{plan.station_offset[b.station]}, b.ch);
     b.rds = plan.tags[i].rds;
     b.symbol_seconds =
         b.rds ? 1.0 / fm::kRdsBitRateHz
@@ -254,11 +271,8 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     for (std::size_t bi = 0; bi < bursts.size(); ++bi) {
       const BurstInfo& b = bursts[bi];
       const ScenarioTag& t = sc.tags[b.tag];
-      const double station_off =
-          plan.multi ? plan.station_offset[static_cast<std::size_t>(
-                           plan.selected_station[b.seg][b.tag])]
-                     : 0.0;
-      if (!tag_audible_at(t, units::Hertz{station_off}, rx.tune_offset)) {
+      if (!tag_audible_at(t, units::Hertz{plan.station_offset[b.station]},
+                          rx.tune_offset)) {
         continue;
       }
 
@@ -267,19 +281,14 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
       // Interference budget: co-channel stations (a carrier within half a
       // spacing of the tuned channel jams the tag's whole channel) ...
       double interference_watts = 0.0;
-      if (plan.multi) {
-        for (std::size_t s = 0; s < sc.stations.size(); ++s) {
-          if (std::abs(plan.station_offset[s] - rx.tune_offset.raw()) <
-              fm::kChannelSpacingHz / 2.0) {
-            interference_watts +=
-                station_power_at(sc.stations[s], plan.rx_pos[b.seg][r])
-                    .to_watts()
-                    .raw();
-          }
+      for (std::size_t s = 0; s < sc.stations.size(); ++s) {
+        if (std::abs(plan.station_offset[s] - rx.tune_offset.raw()) <
+            fm::kChannelSpacingHz / 2.0) {
+          interference_watts +=
+              station_power_at(sc.stations[s], plan.rx_pos[b.seg][r])
+                  .to_watts()
+                  .raw();
         }
-      } else if (std::abs(rx.tune_offset.raw()) <
-                 fm::kChannelSpacingHz / 2.0) {
-        interference_watts += dsp::watts_from_dbm(plan.receiver_direct_dbm[r]);
       }
 
       // ... plus every contacting burst, classified against the capture
@@ -377,7 +386,7 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     }
     window_begin = std::max(0.0, window_begin - kBurstGuardSeconds);
     window_end += kBurstGuardSeconds + kSubsceneTailSeconds;
-    const double quantum = std::max(config_.subscene_quantum.raw(), 1e-3);
+    const double quantum = config_.subscene_quantum.raw();
     const double duration =
         std::ceil((window_end - window_begin) / quantum) * quantum;
     const std::size_t segm =
@@ -388,19 +397,12 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     sub.seed = derive_seed(sc.seed, kFleetSubsceneStream + ordinal);
     sub.settle = units::Seconds{kSubsceneSettleSeconds};
     sub.duration = units::Seconds{duration};
-    sub.station = sc.station;
     sub.stations = sc.stations;
     for (std::size_t r : cluster_rx) {
       ScenarioReceiver rr = sc.receivers[r];
       rr.position = plan.rx_pos[segm][r];
       rr.waypoints.clear();
       rr.noise_seed = derive_seed(plan.receiver_noise_seed[r], ordinal);
-      // Pin the legacy NaN policy's outcome: the sub-scene sees only a
-      // subset of tags, so re-deriving "strongest tag's ambient" could
-      // drift from the parent scene.
-      if (!plan.multi) {
-        rr.direct_power = units::Dbm{plan.receiver_direct_dbm[r]};
-      }
       sub.receivers.push_back(std::move(rr));
     }
     for (std::size_t m : members) {
@@ -412,9 +414,7 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
       tt.mac = tag::MacConfig{};
       tt.position = plan.tag_pos[b.seg][b.tag];
       tt.waypoints.clear();
-      if (plan.multi) {
-        tt.station_index = plan.selected_station[b.seg][b.tag];
-      }
+      tt.station_index = static_cast<int>(b.station);
       tt.seed = plan.tags[b.tag].content_seed;
       if (tt.fading) tt.fading_seed = plan.tags[b.tag].fading_seed;
       sub.tags.push_back(std::move(tt));

@@ -90,8 +90,8 @@ struct FleetEngineConfig {
   /// (margin - band, margin) could go either way -> PHY; at or below
   /// margin - band the loss is certain -> analytic.
   units::Db capture_ambiguity_band{6.0};
-  /// Sub-scene durations round up to this quantum so collision clusters of
-  /// similar span share one fm::StationCache render per station.
+  /// Sub-scene durations round up to this quantum (> 0) so collision
+  /// clusters of similar span share one fm::StationCache render per station.
   units::Seconds subscene_quantum{0.25};
   /// Engine options for the PHY sub-scenes (keep_captures is forced off).
   ScenarioEngineConfig phy;
@@ -118,7 +118,10 @@ struct FleetResult {
 /// tags always resolve through a PHY sub-scene (no closed-form BLER curve).
 class FleetEngine {
  public:
-  explicit FleetEngine(FleetEngineConfig config = {}) : config_(config) {}
+  /// Throws std::invalid_argument naming the field when capture_margin is
+  /// not finite, capture_ambiguity_band is not finite and >= 0, or
+  /// subscene_quantum is not finite and > 0.
+  explicit FleetEngine(FleetEngineConfig config = {});
 
   const FleetEngineConfig& config() const { return config_; }
 

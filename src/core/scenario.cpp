@@ -138,9 +138,12 @@ Scenario experiment_scenario(const ExperimentPoint& point,
 
   Scenario sc;
   sc.name = "experiment";
-  sc.station.program.genre = point.genre;
-  sc.station.program.stereo = point.stereo_station;
-  sc.station.seed = point.station_seed != 0 ? point.station_seed : point.seed;
+  ScenarioStation& station = sc.stations.emplace_back();
+  station.config.program.genre = point.genre;
+  station.config.program.stereo = point.stereo_station;
+  station.config.seed =
+      point.station_seed != 0 ? point.station_seed : point.seed;
+  station.power = point.tag_power;
   sc.settle = units::Seconds{0.0};
   sc.duration = duration;
   sc.seed = noise_seed;
@@ -151,7 +154,6 @@ Scenario experiment_scenario(const ExperimentPoint& point,
   // zero-pads to the scene length); keep one explicit zero sample so the
   // engine does not mistake it for an FSK payload tag.
   t.custom_baseband = tag_baseband.empty() ? dsp::rvec(1, 0.0F) : tag_baseband;
-  t.tag_power = point.tag_power;
   t.distance_override = point.distance;
   t.fading_seed = noise_seed + 1;
   sc.tags.push_back(std::move(t));
@@ -237,9 +239,6 @@ SurveySceneReport stations_from_survey_report(
     report.stations.push_back(std::move(st));
   }
   if (report.stations.empty()) {
-    // An empty vector would silently flip the Scenario into legacy
-    // single-station mode (the default-constructed sc.station) — surface
-    // the misconfiguration instead.
     throw std::invalid_argument(
         "stations_from_survey: no detectable station of " + city.name +
         " falls within the scene around the listen channel");
@@ -284,6 +283,10 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     throw std::invalid_argument(
         "ScenarioEngine: settle must be finite and >= 0");
   }
+  if (sc.stations.empty()) {
+    throw std::invalid_argument(
+        "ScenarioEngine: scenario needs at least one entry in stations");
+  }
   if (sc.receivers.empty()) {
     throw std::invalid_argument("ScenarioEngine: scenario needs a receiver");
   }
@@ -306,7 +309,6 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
                                   " \"" + name + "\" " + what);
     }
   };
-  auto finite_opt = [](const auto& v) { return !v || std::isfinite(v->raw()); };
   for (const ScenarioStation& st : sc.stations) {
     require(std::isfinite(st.power.raw()), "station", st.name,
             "power must be finite");
@@ -318,8 +320,6 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   for (const ScenarioTag& t : sc.tags) {
     require(finite_path(t.position, t.waypoints), "tag", t.name,
             "position must be finite");
-    require(std::isfinite(t.tag_power.raw()), "tag", t.name,
-            "tag_power must be finite");
     require(!t.distance_override ||
                 (std::isfinite(t.distance_override->raw()) &&
                  t.distance_override->raw() > 0.0),
@@ -328,10 +328,8 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   for (const ScenarioReceiver& rx : sc.receivers) {
     require(finite_path(rx.position, rx.waypoints), "receiver", rx.name,
             "position must be finite");
-    require(finite_opt(rx.direct_power), "receiver", rx.name,
-            "direct_power must be finite");
-    require(finite_opt(rx.noise_200khz), "receiver", rx.name,
-            "noise_200khz must be finite");
+    require(!rx.noise_200khz || std::isfinite(rx.noise_200khz->raw()),
+            "receiver", rx.name, "noise_200khz must be finite");
   }
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
@@ -360,22 +358,16 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   plan.segment_seconds = seg_len;
   const std::size_t num_segments = plan.num_segments;
 
-  // Scene station table. An empty `stations` means the legacy single-station
-  // scene: sc.station at the scene center with the legacy per-tag/receiver
-  // power semantics (bit-identical to the pre-multi-station engine).
-  plan.multi = !sc.stations.empty();
-  const bool multi = plan.multi;
-  plan.num_stations = multi ? sc.stations.size() : 1;
+  // Scene station table.
+  plan.num_stations = sc.stations.size();
   const std::size_t num_stations = plan.num_stations;
   plan.station_offset.assign(num_stations, 0.0);
-  if (multi) {
-    for (std::size_t s = 0; s < num_stations; ++s) {
-      plan.station_offset[s] = sc.stations[s].offset.raw();
-      if (std::abs(plan.station_offset[s]) > kMaxStationOffsetHz + 1e-6) {
-        throw std::invalid_argument(
-            "ScenarioEngine: station \"" + sc.stations[s].name +
-            "\" carrier offset falls outside the 2.4 MHz scene");
-      }
+  for (std::size_t s = 0; s < num_stations; ++s) {
+    plan.station_offset[s] = sc.stations[s].offset.raw();
+    if (std::abs(plan.station_offset[s]) > kMaxStationOffsetHz + 1e-6) {
+      throw std::invalid_argument(
+          "ScenarioEngine: station \"" + sc.stations[s].name +
+          "\" carrier offset falls outside the 2.4 MHz scene");
     }
   }
 
@@ -407,10 +399,6 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   for (std::size_t k = 0; k < num_segments; ++k) {
     for (std::size_t t = 0; t < sc.tags.size(); ++t) {
       const ScenarioTag& tcfg = sc.tags[t];
-      if (!multi) {
-        plan.tag_ambient_dbm[k][t] = tcfg.tag_power.raw();
-        continue;
-      }
       int chosen = tcfg.station_index;
       if (chosen >= static_cast<int>(num_stations)) {
         throw std::invalid_argument("ScenarioEngine: tag \"" + tcfg.name +
@@ -510,10 +498,8 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   // couples into those channels, all evaluated with the segment's geometry.
   auto channels_of = [&](std::size_t t, std::size_t seg,
                          units::Hertz (&out)[2]) -> int {
-    const units::Hertz off{multi
-                               ? plan.station_offset[static_cast<std::size_t>(
-                                     plan.selected_station[seg][t])]
-                               : 0.0};
+    const units::Hertz off{plan.station_offset[static_cast<std::size_t>(
+        plan.selected_station[seg][t])]};
     return tag_backscatter_channels(sc.tags[t], off, out);
   };
   auto sense_channel = [&](std::size_t attempt, units::Seconds w_begin,
@@ -530,9 +516,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     double watts = 0.0;
     // Ambient stations occupying the sensed channel(s).
     for (std::size_t s = 0; s < num_stations; ++s) {
-      const units::Dbm power =
-          multi ? station_power_at(sc.stations[s], at)
-                : sc.tags[ti].tag_power;  // legacy: ambient at the tag
+      const units::Dbm power = station_power_at(sc.stations[s], at);
       for (int c = 0; c < n_i; ++c) {
         if (std::abs(plan.station_offset[s] - ch_i[c].raw()) < half) {
           watts += power.to_watts().raw();
@@ -604,21 +588,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     }
   }
 
-  // ---- Legacy direct-power policy and per-receiver noise seeds. ------------
-  if (!multi) {
-    plan.receiver_direct_dbm.resize(sc.receivers.size());
-    for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-      double p;
-      if (sc.receivers[r].direct_power) {
-        p = sc.receivers[r].direct_power->raw();
-      } else {
-        p = -1e9;
-        for (const ScenarioTag& t : sc.tags) p = std::max(p, t.tag_power.raw());
-        if (sc.tags.empty()) p = -30.0;
-      }
-      plan.receiver_direct_dbm[r] = p;
-    }
-  }
+  // ---- Per-receiver noise seeds. -------------------------------------------
   plan.receiver_noise_seed.resize(sc.receivers.size());
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
     plan.receiver_noise_seed[r] =
@@ -648,48 +618,23 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
       const ScenarioReceiver& rx = sc.receivers[r];
       channel::LinkBudgetConfig link = rx.link;
       link.rx_antenna_gain = receiver_antenna_gain(rx);
-      if (multi) {
-        for (std::size_t s = 0; s < num_stations; ++s) {
-          plan.g_direct[k][r][s] = static_cast<float>(
-              std::sqrt(station_power_at(sc.stations[s], plan.rx_pos[k][r])
-                            .to_watts()
-                            .raw()));
-        }
-        for (std::size_t t = 0; t < sc.tags.size(); ++t) {
-          link.tag_antenna_gain =
-              units::Db{sc.tags[t].antenna.effective_gain_db()};
-          const channel::BackscatterPath path =
-              channel::compute_backscatter_path(
-                  units::Dbm{plan.tag_ambient_dbm[k][t]},
-                  units::Dbm{plan.tag_ambient_dbm[k][t]},
-                  units::Meters{pair_distance_m(sc.tags[t], plan.tag_pos[k][t],
-                                                plan.rx_pos[k][r])},
-                  link);
-          plan.g_back[k][r][t] =
-              static_cast<float>(path.budget.backscatter_amplitude);
-          plan.rx_power_dbm[k][r][t] = path.sideband_power.raw();
-        }
-        continue;
-      }
-      if (sc.tags.empty()) {
-        plan.g_direct[k][r][0] = static_cast<float>(std::sqrt(
-            units::Dbm{plan.receiver_direct_dbm[r]}.to_watts().raw()));
-        continue;
+      for (std::size_t s = 0; s < num_stations; ++s) {
+        plan.g_direct[k][r][s] = static_cast<float>(
+            std::sqrt(station_power_at(sc.stations[s], plan.rx_pos[k][r])
+                          .to_watts()
+                          .raw()));
       }
       for (std::size_t t = 0; t < sc.tags.size(); ++t) {
         link.tag_antenna_gain =
             units::Db{sc.tags[t].antenna.effective_gain_db()};
+        const units::Dbm ambient{plan.tag_ambient_dbm[k][t]};
         const channel::BackscatterPath path = channel::compute_backscatter_path(
-            sc.tags[t].tag_power, units::Dbm{plan.receiver_direct_dbm[r]},
+            ambient, ambient,
             units::Meters{pair_distance_m(sc.tags[t], plan.tag_pos[k][t],
                                           plan.rx_pos[k][r])},
             link);
         plan.g_back[k][r][t] =
             static_cast<float>(path.budget.backscatter_amplitude);
-        if (t == 0) {
-          plan.g_direct[k][r][0] =
-              static_cast<float>(path.budget.direct_amplitude);
-        }
         plan.rx_power_dbm[k][r][t] = path.sideband_power.raw();
       }
     }
@@ -709,8 +654,8 @@ ScenePruning resolve_scene_pruning(const Scenario& sc, const ScenarioPlan& plan,
   //   * a station is needed when its carrier falls within that margin of
   //     some receiver's tune, or when a needed tag selects it in any segment
   //     (the reflection carries the station's modulation);
-  //   * station 0 is always needed — it is the scene center the legacy
-  //     `station` field and single-station power semantics hang off.
+  //   * station 0 is always needed — every receiver's superposition starts
+  //     from it.
   // Everything needed is synthesized for ALL receivers: pruning decides what
   // enters the scene, never per-receiver superposition lists, so dense mode
   // (every flag forced on) reproduces the historical engine exactly.
@@ -739,13 +684,9 @@ ScenePruning resolve_scene_pruning(const Scenario& sc, const ScenarioPlan& plan,
     if (!plan.tags[t].transmitted) continue;
     for (std::size_t k = 0; k < plan.num_segments && !pr.tag_needed[t]; ++k) {
       units::Hertz ch[2];
-      const int n = tag_backscatter_channels(
-          sc.tags[t],
-          units::Hertz{
-              plan.multi
-                  ? plan.station_offset[static_cast<std::size_t>(sel[k][t])]
-                  : 0.0},
-          ch);
+      const units::Hertz station{
+          plan.station_offset[static_cast<std::size_t>(sel[k][t])]};
+      const int n = tag_backscatter_channels(sc.tags[t], station, ch);
       for (int c = 0; c < n; ++c) {
         if (near_some_receiver(ch[c].raw())) {
           pr.tag_needed[t] = 1;
@@ -791,12 +732,14 @@ void apply_scenario_seed_policy(Scenario& scenario, std::size_t index,
   // Station seeds left at the 0 sentinel are pinned sweep-wide when sharing
   // (one fm::StationCache render per station across every point), otherwise
   // derived from the scenario's own seed (fresh content per point).
+  // Station 0 takes the root itself, so a one-station sweep's program is
+  // the root's.
   const std::uint64_t root =
       config.share_station_renders ? config.base_seed : scenario.seed;
-  if (scenario.station.seed == 0) scenario.station.seed = root;
   for (std::size_t s = 0; s < scenario.stations.size(); ++s) {
     if (scenario.stations[s].config.seed == 0) {
-      scenario.stations[s].config.seed = derive_seed(root, kStationSeedStream + s);
+      scenario.stations[s].config.seed =
+          s == 0 ? root : derive_seed(root, kStationSeedStream + s);
     }
   }
 }

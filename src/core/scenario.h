@@ -14,6 +14,7 @@
 //
 //   core::Scenario sc;
 //   sc.duration = units::Seconds{0.5};
+//   sc.stations.push_back({.name = "wbur", .power = units::Dbm{-30.0}});
 //   const auto plan = tag::plan_subcarrier_channels(4);
 //   for (int i = 0; i < 4; ++i) {
 //     core::ScenarioTag t;
@@ -119,10 +120,11 @@ inline constexpr double kMaxStationOffsetHz =
 /// regardless of distance (the reflection carries their modulation).
 inline constexpr double kSceneNeighborhoodHz = 2.0 * fm::kChannelSpacingHz;
 
-/// One ambient FM station of a multi-station RF scene. The scene is complex
-/// baseband around the legacy single-station carrier: a station's carrier
-/// sits at `offset_hz` from the scene center, so adjacent-channel geometry
-/// reads directly in multiples of fm::kChannelSpacingHz.
+/// One ambient FM station of the RF scene. The scene is complex baseband
+/// around its center: a station's carrier sits at `offset` from it, so
+/// adjacent-channel geometry reads directly in multiples of
+/// fm::kChannelSpacingHz. The station's power where a tag or receiver stands
+/// (station_power_at) is the only source of ambient power in the engine.
 struct ScenarioStation {
   std::string name;
   fm::StationConfig config;
@@ -178,15 +180,11 @@ struct ScenarioTag {
   /// measurement waveforms).
   dsp::rvec custom_baseband;
 
-  // Link budget inputs.
-  /// Ambient FM power at this tag in a single-station scene. In a
-  /// multi-station scene the value is ignored — the power is derived from
-  /// the selected station via station_power_at.
-  units::Dbm tag_power{-30.0};
-  /// Station this tag backscatters in a multi-station scene: -1 selects the
-  /// strongest ambient station at the tag's position (the paper's posters
-  /// reflect whichever signal is strongest); an explicit index pins it.
-  /// Ignored in single-station scenes.
+  // Link budget inputs. The ambient power at the tag is
+  // station_power_at(selected station, tag position).
+  /// Station this tag backscatters: -1 selects the strongest ambient station
+  /// at the tag's position (the paper's posters reflect whichever signal is
+  /// strongest); an explicit index pins it.
   int station_index = -1;
   ScenePosition position;
   /// Waypoint path: when non-empty the tag walks [position, waypoints...]
@@ -224,11 +222,6 @@ struct ScenarioReceiver {
   /// Waypoint path, like ScenarioTag::waypoints (a pedestrian's phone walks
   /// with its owner; link budgets re-evaluate per timeline segment).
   std::vector<ScenePosition> waypoints;
-  /// Power of the unshifted station at the receiver in a single-station
-  /// scene; unset = the strongest tag's ambient power (the paper keeps
-  /// devices equidistant from the transmitter). Multi-station scenes derive
-  /// every station's power at the receiver from station_power_at instead.
-  std::optional<units::Dbm> direct_power;
   /// Receiver noise floor per 200 kHz; unset = the kind's default.
   std::optional<units::Dbm> noise_200khz;
   /// Receive antenna gain override; unset = the kind's default antenna
@@ -246,12 +239,9 @@ struct ScenarioReceiver {
 /// A complete multi-entity deployment inside one RF scene.
 struct Scenario {
   std::string name;
-  /// Legacy single-station scene (bit-identical to the pre-multi-station
-  /// engine); used only while `stations` is empty.
-  fm::StationConfig station;
-  /// Multi-station scene: every entry is rendered and superposed into the
-  /// shared RF stream at its carrier offset. Empty = the single legacy
-  /// `station` at offset 0.
+  /// The band: every station is rendered and superposed into the shared RF
+  /// stream at its carrier offset, and fixes the ambient power at every tag
+  /// and receiver. Must not be empty.
   std::vector<ScenarioStation> stations;
   std::vector<ScenarioTag> tags;
   std::vector<ScenarioReceiver> receivers;
@@ -336,21 +326,14 @@ struct SceneRenderStats {
 
 /// Full scenario outcome.
 struct ScenarioResult {
-  /// The scene-center station's render (station 0; the legacy field).
-  std::shared_ptr<const fm::StationSignal> station;
-  /// One render per scene station (parallel to Scenario::stations, or a
-  /// single entry for the legacy station). Under SceneRendering::kSparse a
-  /// station outside every receiver's neighborhood is never synthesized and
-  /// its entry is nullptr (station 0 — the scene center — is always
+  /// One render per scene station (parallel to Scenario::stations). Under
+  /// SceneRendering::kSparse a station outside every receiver's neighborhood
+  /// is never synthesized and its entry is nullptr (station 0 is always
   /// rendered).
   std::vector<std::shared_ptr<const fm::StationSignal>> station_renders;
-  /// Station index each tag backscattered during the first segment
-  /// (parallel to Scenario::tags; the whole run for an unsegmented
-  /// scenario). Per-segment history — the handoff record — is in
-  /// `segments`.
-  std::vector<int> selected_station;
   /// One geometry snapshot per timeline segment (a single entry when the
-  /// timeline is unsegmented).
+  /// timeline is unsegmented); segments[k].selected_station is the handoff
+  /// record.
   std::vector<ScenarioSegmentReport> segments;
   /// MAC outcome per tag (deferrals, actual start, silent give-ups).
   std::vector<TagMacReport> mac;
@@ -425,8 +408,6 @@ struct ScenarioPlan {
   double total_seconds = 0.0;    ///< settle + duration
   double segment_seconds = 0.0;  ///< 0 = one segment spanning the run
   std::size_t num_segments = 1;
-  /// False = legacy single-station scene (sc.station at the center).
-  bool multi = false;
   std::size_t num_stations = 1;
   std::vector<double> station_offset;  ///< carrier offset per station
   /// Per-segment entity positions along their waypoint paths.
@@ -436,9 +417,6 @@ struct ScenarioPlan {
   /// (dBm) of that station at the tag.
   std::vector<std::vector<int>> selected_station;      // [segment][tag]
   std::vector<std::vector<double>> tag_ambient_dbm;    // [segment][tag]
-  /// Legacy single-station scene: power of the unshifted station at each
-  /// receiver after the NaN policy (empty for multi-station scenes).
-  std::vector<double> receiver_direct_dbm;
   /// Resolved per-receiver noise seed (explicit or derived).
   std::vector<std::uint64_t> receiver_noise_seed;
   std::vector<ScenarioTagPlan> tags;  ///< parallel to Scenario::tags
@@ -498,8 +476,8 @@ class ScenarioEngine {
   const ScenarioEngineConfig& config() const { return config_; }
 
   /// Runs one scenario. Throws std::invalid_argument on an inconsistent
-  /// scenario (no receivers, burst past the end, bad rates, station offsets
-  /// outside the scene).
+  /// scenario (no stations or receivers, burst past the end, bad rates,
+  /// station offsets outside the scene).
   ScenarioResult run(const Scenario& scenario) const;
 
   /// Runs many scenarios across a SweepRunner pool. Ordered and
@@ -520,11 +498,6 @@ class ScenarioEngine {
 bool tag_audible_at(const ScenarioTag& tag, units::Hertz station_offset,
                     units::Hertz tune_offset);
 
-/// Single-station shorthand (station at the scene center).
-inline bool tag_audible_at(const ScenarioTag& tag, units::Hertz tune_offset) {
-  return tag_audible_at(tag, units::Hertz{0.0}, tune_offset);
-}
-
 /// A phone receiver tuned to a planned subcarrier channel.
 ScenarioReceiver phone_listening_to(const tag::SubcarrierConfig& subcarrier);
 
@@ -535,13 +508,14 @@ ScenarioReceiver car_listening_to(const tag::SubcarrierConfig& subcarrier);
 
 /// The one-tag, one-station Scenario of a single-link measurement (paper
 /// section 5, Figs. 6-14 and 17b): `point`'s station program, ambient power
-/// and tag-to-receiver distance, with `tag_baseband` (FM_back at the MPX
-/// rate; see tag/baseband.h) as the tag's always-on baseband, zero-padded or
-/// truncated to `duration` and rendered with no settle window. Receiver 0 is
-/// a phone_listening_to or car_listening_to receiver on the tag's channel;
-/// `ambient_receiver` adds a receiver 1 of the same device tuned to the
-/// station itself (phone 1 of cooperative backscatter). Callers adjust the
-/// returned tag and receivers (antenna, fading, AGC) before running it.
+/// (the one far-field station's `power`) and tag-to-receiver distance, with
+/// `tag_baseband` (FM_back at the MPX rate; see tag/baseband.h) as the tag's
+/// always-on baseband, zero-padded or truncated to `duration` and rendered
+/// with no settle window. Receiver 0 is a phone_listening_to or
+/// car_listening_to receiver on the tag's channel; `ambient_receiver` adds a
+/// receiver 1 of the same device tuned to the station itself (phone 1 of
+/// cooperative backscatter). Callers adjust the returned station, tag and
+/// receivers (antenna, fading, AGC) before running it.
 Scenario experiment_scenario(const ExperimentPoint& point,
                              const dsp::rvec& tag_baseband,
                              units::Seconds duration,
@@ -555,10 +529,8 @@ Scenario experiment_scenario(const ExperimentPoint& point,
 /// name (derived from the city and channel frequency, e.g. "BOS098.5") vary
 /// deterministically per channel — surveyed city scenes broadcast RDS the
 /// way a real band does. Stations come back sorted by |offset|, so the listen channel
-/// (when detectable) is station 0 — the scene center a ScenarioResult
-/// reports as `station`. Throws std::invalid_argument when no detectable
-/// station falls inside the scene (an empty vector would silently mean
-/// "legacy single-station mode" to the engine).
+/// (when detectable) is station 0. Throws std::invalid_argument when no
+/// detectable station falls inside the scene.
 std::vector<ScenarioStation> stations_from_survey(
     const survey::CitySpectrum& city, int listen_channel,
     units::Hertz max_offset = units::Hertz{kMaxStationOffsetHz},
@@ -595,10 +567,11 @@ struct ScenarioGridRow {
 /// Applies the sweep seed policy to scenario `index` of a sweep rooted at
 /// `config`: a scenario left at seed == 0 gets derive_seed(base_seed, index)
 /// — scheduling-independent, so sweeps are bit-identical at any thread
-/// count — and, when the sweep shares station renders, station seeds left
-/// at 0 are pinned sweep-wide (base_seed for the legacy station,
-/// derive_seed(base_seed, stream + s) for scene station s) so every point
-/// shares one fm::StationCache render per station instead of re-rendering.
+/// count. Station seeds left at 0 derive from a root: station 0 gets the
+/// root itself, station s >= 1 derive_seed(root, stream + s). When the sweep
+/// shares station renders the root is base_seed, so every point shares one
+/// fm::StationCache render per station instead of re-rendering; otherwise it
+/// is the scenario's own seed.
 void apply_scenario_seed_policy(Scenario& scenario, std::size_t index,
                                 const SweepConfig& config);
 

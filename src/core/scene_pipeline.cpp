@@ -206,7 +206,6 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
       plan_(resolve_scenario_plan(sc)),
       scope_(fm::StationCache::instance()) {
   const ScenarioPlan& plan = plan_;
-  const bool multi = plan.multi;
   const std::size_t num_stations = plan.num_stations;
   const std::vector<double>& station_offset = plan.station_offset;
   const std::vector<std::vector<int>>& sel = plan.selected_station;
@@ -221,10 +220,9 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
   const units::Seconds render_seconds{
       loop_mode_ ? options_.station_horizon->raw() : plan.total_seconds};
   result.station_renders.assign(num_stations, nullptr);
-  result.station_renders[0] = scope_.render(
-      multi ? sc.stations[0].config : sc.station, render_seconds);
-  result.station = result.station_renders[0];
-  content_len_ = result.station->iq.size();
+  result.station_renders[0] =
+      scope_.render(sc.stations[0].config, render_seconds);
+  content_len_ = result.station_renders[0]->iq.size();
   const std::size_t run_len =
       loop_mode_
           ? static_cast<std::size_t>(plan.total_seconds * fm::kMpxRate + 0.5)
@@ -233,7 +231,6 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
   num_blocks_ = padded / kBlockMpx;
 
   result.receivers.resize(sc.receivers.size());
-  result.selected_station = sel[0];
   result.segments.resize(plan.num_segments);
   for (std::size_t k = 0; k < plan.num_segments; ++k) {
     const auto [s0, s1] = plan.segment_bounds(k);
@@ -329,9 +326,7 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
       src.mixer.emplace(station_offset[s], fm::kRfRate);
     }
     if (loop_mode_) {
-      src.loop_mod.emplace(
-          multi ? sc.stations[s].config.deviation : sc.station.deviation,
-          fm::kMpxRate);
+      src.loop_mod.emplace(sc.stations[s].config.deviation, fm::kMpxRate);
     }
   }
 
@@ -404,7 +399,7 @@ ScenePipeline::ScenePipeline(const Scenario& sc, ScenePipelineOptions options)
     const fm::StationConfig* tuned_station = nullptr;
     for (std::size_t s = 0; s < num_stations; ++s) {
       if (std::abs(station_offset[s] - rx.tune_offset.raw()) < 1.0) {
-        tuned_station = multi ? &sc.stations[s].config : &sc.station;
+        tuned_station = &sc.stations[s].config;
         break;
       }
     }

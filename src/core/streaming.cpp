@@ -1,6 +1,7 @@
 #include "core/streaming.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <exception>
 #include <stdexcept>
@@ -33,9 +34,16 @@ StreamingEngine::StreamingEngine(StreamingConfig config)
   if (config_.ring_blocks == 0) {
     throw std::invalid_argument("StreamingEngine: ring_blocks must be > 0");
   }
-  if (config_.station_horizon.raw() <= 0.0) {
+  // NaN compares false against every bound: a NaN horizon would silently
+  // turn loop mode off, and memory would grow with the run.
+  const double horizon = config_.station_horizon.raw();
+  if (!std::isfinite(horizon) || horizon <= 0.0) {
     throw std::invalid_argument(
-        "StreamingEngine: station_horizon must be > 0");
+        "StreamingEngine: station_horizon must be finite and > 0");
+  }
+  if (!std::isfinite(config_.decision_window.raw())) {
+    throw std::invalid_argument(
+        "StreamingEngine: decision_window must be finite");
   }
 }
 

@@ -55,11 +55,12 @@ struct StreamingConfig {
   std::size_t ring_blocks = 8;
   /// Station render horizon. Runs no longer than this use one exact render
   /// per station, as ScenarioEngine always does; longer runs render the
-  /// horizon once and loop its MPX through a persistent modulator.
+  /// horizon once and loop its MPX through a persistent modulator. Must be
+  /// finite and > 0.
   units::Seconds station_horizon{2.0};
   /// Bound on the buffered global decisions (stereo pilot detect; the tuned
   /// station's capture-wide RDS window). <= 0 buffers the whole run, exactly
-  /// like ScenarioEngine — and unbounded memory on long runs.
+  /// like ScenarioEngine — and unbounded memory on long runs. Must be finite.
   units::Seconds decision_window{4.0};
   /// Demand-driven (kSparse) vs exhaustive (kDense) scene synthesis, exactly
   /// as in ScenarioEngineConfig.
@@ -80,6 +81,9 @@ struct StreamingConfig {
 /// buffering that replaced them.
 class StreamingEngine {
  public:
+  /// Throws std::invalid_argument naming the field on zero consumer
+  /// threads or ring blocks, a station_horizon that is not finite and > 0,
+  /// or a non-finite decision_window.
   explicit StreamingEngine(StreamingConfig config = {});
 
   const StreamingConfig& config() const { return config_; }

@@ -16,7 +16,10 @@ TEST(ExperimentScenario, PhoneReceiver) {
   const Scenario sc = experiment_scenario(point, {}, units::Seconds{0.1});
   ASSERT_EQ(sc.tags.size(), 1U);
   ASSERT_EQ(sc.receivers.size(), 1U);
-  EXPECT_EQ(sc.tags[0].tag_power.raw(), -42.0);
+  // The point's ambient power is the one far-field station's power.
+  ASSERT_EQ(sc.stations.size(), 1U);
+  EXPECT_EQ(sc.stations[0].power.raw(), -42.0);
+  EXPECT_FALSE(sc.stations[0].position.has_value());
   ASSERT_TRUE(sc.tags[0].distance_override.has_value());
   EXPECT_EQ(sc.tags[0].distance_override->raw(), 7.0);
   EXPECT_EQ(sc.receivers[0].kind, ReceiverKind::kPhone);

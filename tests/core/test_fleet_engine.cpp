@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,15 +27,21 @@ namespace {
 constexpr std::size_t kBits = 64;  // 0.04 s burst at 1.6 kbps
 constexpr double kBurst = 0.04;
 
-/// Tags on disjoint planned channels — no contention by construction — at
-/// per-tag ambient powers spanning a clean link, a comfortable link and a
-/// hopeless one, with one phone per channel.
-Scenario spread_scenario(std::uint64_t seed) {
+/// Tags on disjoint planned channels — no contention by construction — whose
+/// links span a clean one, a comfortable one and a hopeless one, with one
+/// phone per channel. Every tag sees the station at `strongest_dbm`; tag i
+/// sits farther from its phone by the free-space gap (20 log10 of the
+/// distance ratio) between `strongest_dbm` and powers[i], so its backscatter
+/// arrives as if its own ambient power were powers[i] at 4 ft.
+Scenario spread_scenario(std::uint64_t seed, double strongest_dbm = -30.0) {
   Scenario sc;
   sc.name = "fleet-spread";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 5;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 5;
+  station.power = units::Dbm{strongest_dbm};
+  sc.stations = {station};
   sc.seed = seed;
   sc.duration = units::Seconds{0.2};
   const auto plan = tag::plan_subcarrier_channels(3);
@@ -41,7 +49,7 @@ Scenario spread_scenario(std::uint64_t seed) {
   // the demodulator's sync cliff, so PHY and analytic both sit at chance
   // level; mid-waterfall powers would compare a meaningful analytic BER
   // against a failed-sync PHY decode, which is noise-vs-noise).
-  const double powers[] = {-30.0, -35.0, -85.0};
+  const double powers[] = {strongest_dbm, -35.0, -85.0};
   for (std::size_t i = 0; i < 3; ++i) {
     ScenarioTag t;
     t.name = "tag" + std::to_string(i);
@@ -49,8 +57,8 @@ Scenario spread_scenario(std::uint64_t seed) {
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = kBits;
     t.packet_bits = 32;
-    t.tag_power = units::Dbm{powers[i]};
-    t.distance_override = units::Feet{4.0};
+    t.distance_override = units::Feet{
+        4.0 * std::pow(10.0, (strongest_dbm - powers[i]) / 20.0)};
     t.start = units::Seconds{0.02};
     sc.tags.push_back(std::move(t));
     sc.receivers.push_back(phone_listening_to(plan[i].subcarrier));
@@ -63,9 +71,12 @@ Scenario spread_scenario(std::uint64_t seed) {
 Scenario collision_scenario(std::uint64_t seed, double second_start) {
   Scenario sc;
   sc.name = "fleet-collision";
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 5;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 5;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = seed;
   sc.duration = units::Seconds{0.45};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -74,7 +85,6 @@ Scenario collision_scenario(std::uint64_t seed, double second_start) {
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = kBits;
     t.packet_bits = 32;
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{3.0};
     t.start = units::Seconds{i == 0 ? 0.0 : (i == 1 ? second_start : 0.3)};
     sc.tags.push_back(std::move(t));
@@ -202,13 +212,58 @@ TEST(FleetEngine, RejectsCustomBasebandTags) {
   EXPECT_THROW((void)FleetEngine().run(sc), std::invalid_argument);
 }
 
+// The config boundary: a NaN margin used to move certain-loss links into PHY
+// sub-scenes, a NaN quantum failed later under the sub-scene's duration, and
+// a non-positive quantum was silently clamped to 1 ms. Each is now rejected
+// at construction, naming the field.
+TEST(FleetEngine, RejectsInvalidConfig) {
+  auto expect_rejected = [](const FleetEngineConfig& cfg,
+                            const std::string& field) {
+    try {
+      const FleetEngine engine(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  FleetEngineConfig negative_band;
+  negative_band.capture_ambiguity_band = units::Db{-1.0};
+  expect_rejected(negative_band, "capture_ambiguity_band");
+  for (const double bad : {0.0, -1.0}) {
+    FleetEngineConfig quantum;
+    quantum.subscene_quantum = units::Seconds{bad};
+    expect_rejected(quantum, "subscene_quantum");
+  }
+#ifdef NDEBUG
+  // Strong unit types assert finiteness at construction when assertions are
+  // live, so a non-finite value only reaches the engine in release builds.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    FleetEngineConfig margin;
+    margin.capture_margin = units::Db{bad};
+    expect_rejected(margin, "capture_margin");
+    FleetEngineConfig band;
+    band.capture_ambiguity_band = units::Db{bad};
+    expect_rejected(band, "capture_ambiguity_band");
+    FleetEngineConfig quantum;
+    quantum.subscene_quantum = units::Seconds{bad};
+    expect_rejected(quantum, "subscene_quantum");
+  }
+#endif
+  FleetEngineConfig no_band;
+  no_band.capture_ambiguity_band = units::Db{0.0};
+  EXPECT_NO_THROW(FleetEngine{no_band});
+  EXPECT_NO_THROW(FleetEngine{});
+}
+
 TEST(FleetEngine, FleetSweepBitIdenticalAcrossThreads) {
   const auto make_sweep = [] {
     std::vector<Scenario> sweep;
     for (std::uint64_t k = 0; k < 3; ++k) {
-      Scenario spread = spread_scenario(0);  // seed derived by the policy
+      // Seed derived by the policy; tag 0 (the strongest) at -30 - k dBm.
+      Scenario spread = spread_scenario(0, -30.0 - static_cast<double>(k));
       spread.name += "-" + std::to_string(k);
-      spread.tags[0].tag_power = units::Dbm{-30.0 - static_cast<double>(k)};
       sweep.push_back(std::move(spread));
       // Include a graze point so sub-scene rendering is inside the
       // bit-identity contract, not just the analytic path.

@@ -62,9 +62,12 @@ PhyAloha run_phy_aloha(bool slotted, double window_seconds,
   // interference (the paper's Fig. 6 methodology), one phone listening.
   Scenario sc;
   sc.name = slotted ? "aloha-slotted" : "aloha-pure";
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = seed;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = seed;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = seed;
   sc.duration = units::Seconds{window_seconds};
   for (std::size_t i = 0; i < num_attempts; ++i) {
@@ -72,7 +75,6 @@ PhyAloha run_phy_aloha(bool slotted, double window_seconds,
     t.name = "attempt" + std::to_string(i);
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = kBitsPerFrame;
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{3.0};
     t.start = units::Seconds{starts[i]};
     sc.tags.push_back(std::move(t));

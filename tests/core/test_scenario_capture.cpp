@@ -9,18 +9,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace fmbs::core {
 namespace {
 
+/// Both tags see the station at `strong_dbm`; the far tag sits farther from
+/// the phone by the free-space gap (20 log10 of the distance ratio) between
+/// `strong_dbm` and `weak_dbm`, so its backscatter arrives as if its own
+/// ambient power were `weak_dbm` at 3 ft.
 Scenario near_far_scenario(double strong_dbm, double weak_dbm) {
   Scenario sc;
   sc.name = "near-far";
   // Overlay FSK over real program audio, as deployed tags run; over a
   // silent carrier the tone detector captures even at a ~1 dB gap, which
   // would make the near-equal control below vacuous.
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 71;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 71;
+  station.power = units::Dbm{strong_dbm};
+  sc.stations = {station};
   sc.seed = 71;
   sc.duration = units::Seconds{0.35};
   const double powers[2] = {strong_dbm, weak_dbm};
@@ -30,8 +39,8 @@ Scenario near_far_scenario(double strong_dbm, double weak_dbm) {
     t.rate = tag::DataRate::k1600bps;  // robust solo at either power
     t.num_bits = 128;
     t.packet_bits = 64;
-    t.tag_power = units::Dbm{powers[i]};
-    t.distance_override = units::Feet{3.0};
+    t.distance_override =
+        units::Feet{3.0 * std::pow(10.0, (strong_dbm - powers[i]) / 20.0)};
     t.start = units::Seconds{0.0};  // fully overlapping bursts, one channel
     sc.tags.push_back(std::move(t));
   }

@@ -45,15 +45,17 @@ TEST(ScenarioEngine, ExperimentScenarioMatchesFieldByFieldScenario) {
 
     // The same measurement written out field by field.
     Scenario manual;
-    manual.station.program.genre = audio::ProgramGenre::kNews;
-    manual.station.program.stereo = false;
-    manual.station.seed = 6;
+    ScenarioStation station;
+    station.config.program.genre = audio::ProgramGenre::kNews;
+    station.config.program.stereo = false;
+    station.config.seed = 6;
+    station.power = units::Dbm{-35.0};
+    manual.stations = {station};
     manual.settle = units::Seconds{0.0};
     manual.duration = units::Seconds{duration};
     manual.seed = 7 + 0x200000;
     ScenarioTag t;
     t.custom_baseband = bb;
-    t.tag_power = units::Dbm{-35.0};
     t.distance_override = units::Feet{6.0};
     t.fading = fading;
     t.fading_seed = 7 + 0x200000 + 1;
@@ -100,9 +102,12 @@ TEST(ScenarioEngine, ExperimentScenarioMatchesFieldByFieldScenario) {
 Scenario disjoint_scenario(std::size_t num_tags) {
   Scenario sc;
   sc.name = "disjoint";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 33;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 33;
+  station.power = units::Dbm{-35.0};
+  sc.stations = {station};
   sc.seed = 33;
   sc.duration = units::Seconds{0.25};
   const auto plan = tag::plan_subcarrier_channels(num_tags);
@@ -112,7 +117,6 @@ Scenario disjoint_scenario(std::size_t num_tags) {
     t.subcarrier = plan[i].subcarrier;
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 96;
-    t.tag_power = units::Dbm{-35.0};
     t.distance_override = units::Feet{6.0};
     sc.tags.push_back(std::move(t));
     sc.receivers.push_back(phone_listening_to(plan[i].subcarrier));
@@ -153,9 +157,12 @@ TEST(ScenarioEngine, DisjointChannelTagsMatchTheirSoloRuns) {
 
 TEST(ScenarioEngine, SameChannelOverlapCollidesAndStaggerRecovers) {
   Scenario sc;
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 21;  // a quiet program stretch under the burst window
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 21;  // a quiet program stretch under the burst window
+  station.power = units::Dbm{-20.0};
+  sc.stations = {station};
   sc.seed = 21;
   sc.duration = units::Seconds{0.35};
   for (int i = 0; i < 2; ++i) {
@@ -163,7 +170,6 @@ TEST(ScenarioEngine, SameChannelOverlapCollidesAndStaggerRecovers) {
     t.name = i == 0 ? "a" : "b";
     t.rate = tag::DataRate::k1600bps;  // robust solo at this power/range
     t.num_bits = 128;
-    t.tag_power = units::Dbm{-20.0};
     t.distance_override = units::Feet{3.0};
     t.start = units::Seconds{0.0};  // fully overlapping bursts
     sc.tags.push_back(std::move(t));
@@ -228,15 +234,16 @@ TEST(ChannelPlan, AudibilityFollowsWaveformMirrors) {
   ScenarioTag square;
   square.subcarrier.shift = units::Hertz{600000.0};
   square.subcarrier.mode = tag::SubcarrierMode::kBandlimitedSquare;
-  EXPECT_TRUE(tag_audible_at(square, units::Hertz{600000.0}));
-  EXPECT_TRUE(tag_audible_at(square, units::Hertz{-600000.0}));  // mirror copy
-  EXPECT_FALSE(tag_audible_at(square, units::Hertz{400000.0}));
-  EXPECT_FALSE(tag_audible_at(square, units::Hertz{0.0}));  // ambient rx hears no tag data
+  const units::Hertz center{0.0};  // the reflected station's carrier
+  EXPECT_TRUE(tag_audible_at(square, center, units::Hertz{600000.0}));
+  EXPECT_TRUE(tag_audible_at(square, center, units::Hertz{-600000.0}));  // mirror copy
+  EXPECT_FALSE(tag_audible_at(square, center, units::Hertz{400000.0}));
+  EXPECT_FALSE(tag_audible_at(square, center, units::Hertz{0.0}));  // ambient rx hears no tag data
 
   ScenarioTag ssb = square;
   ssb.subcarrier.mode = tag::SubcarrierMode::kSingleSideband;
-  EXPECT_TRUE(tag_audible_at(ssb, units::Hertz{600000.0}));
-  EXPECT_FALSE(tag_audible_at(ssb, units::Hertz{-600000.0}));  // mirror suppressed
+  EXPECT_TRUE(tag_audible_at(ssb, center, units::Hertz{600000.0}));
+  EXPECT_FALSE(tag_audible_at(ssb, center, units::Hertz{-600000.0}));  // mirror suppressed
 }
 
 // ---- Multi-station scenes ---------------------------------------------------
@@ -298,12 +305,12 @@ TEST(ScenarioMultiStation, TagsSelectTheStrongestStation) {
   sc.receivers.emplace_back();
 
   const ScenarioResult r = ScenarioEngine({.keep_captures = false}).run(sc);
-  ASSERT_EQ(r.selected_station.size(), 3U);
-  EXPECT_EQ(r.selected_station[0], 0);  // west tag hears the west station best
-  EXPECT_EQ(r.selected_station[1], 1);  // east tag flips to the east station
-  EXPECT_EQ(r.selected_station[2], 0);  // explicit index wins
+  const std::vector<int>& selected = r.segments[0].selected_station;
+  ASSERT_EQ(selected.size(), 3U);
+  EXPECT_EQ(selected[0], 0);  // west tag hears the west station best
+  EXPECT_EQ(selected[1], 1);  // east tag flips to the east station
+  EXPECT_EQ(selected[2], 0);  // explicit index wins
   ASSERT_EQ(r.station_renders.size(), 2U);
-  EXPECT_EQ(r.station, r.station_renders[0]);
 }
 
 // The acceptance property of the multi-station scene: spectrally disjoint
@@ -427,7 +434,7 @@ TEST(ScenarioMultiStation, StationsFromSurveyMapTheNeighborhood) {
   EXPECT_EQ(seeds.size(), stations.size());
   // A tighter cap trims the scene.
   EXPECT_EQ(stations_from_survey(city, 49, units::Hertz{300e3}).size(), 2U);
-  // An empty scene is a misconfiguration, not legacy single-station mode.
+  // A survey that places no station is a misconfiguration, not an empty band.
   EXPECT_THROW(stations_from_survey(city, 0, units::Hertz{100e3}), std::invalid_argument);
 }
 
@@ -468,7 +475,22 @@ TEST(ScenarioMultiStation, SurveyReportsTheStationsItCannotPlace) {
 
 TEST(ScenarioEngine, RejectsInconsistentScenarios) {
   const ScenarioEngine engine;
+  // The station list is the only description of the band: a scene without
+  // one has no ambient power anywhere, so it is rejected by name.
+  Scenario no_stations;
+  no_stations.receivers.emplace_back();
+  no_stations.tags.emplace_back();
+  try {
+    engine.run(no_stations);
+    ADD_FAILURE() << "an empty station list was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stations"), std::string::npos)
+        << e.what();
+  }
+
   Scenario sc;
+  sc.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                     audio::ProgramGenre::kSilence));
   EXPECT_THROW(engine.run(sc), std::invalid_argument);  // no receivers
 
   sc.receivers.emplace_back();
@@ -581,10 +603,6 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   nan_start.tags[0].start = units::Seconds{nan};
   EXPECT_THROW(resolve_scenario_plan(nan_start), std::invalid_argument);
 
-  Scenario nan_power = with_tag;
-  nan_power.tags[0].tag_power = units::Dbm{nan};
-  EXPECT_THROW(resolve_scenario_plan(nan_power), std::invalid_argument);
-
   Scenario nan_station_power = with_tag;
   nan_station_power.stations[0].power = units::Dbm{nan};
   expect_rejected(nan_station_power, "station \"st\" power");
@@ -596,11 +614,6 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   Scenario nan_distance = zero_distance;
   nan_distance.tags[0].distance_override = units::Feet{nan};
   expect_rejected(nan_distance, "tag \"t0\" distance_override");
-
-  Scenario nan_direct = with_tag;
-  nan_direct.receivers[0].name = "rx0";
-  nan_direct.receivers[0].direct_power = units::Dbm{nan};
-  expect_rejected(nan_direct, "receiver \"rx0\" direct_power");
 
   Scenario nan_noise = with_tag;
   nan_noise.receivers[0].name = "rx0";

@@ -19,9 +19,12 @@ Scenario fading_scenario(double segment_seconds) {
   Scenario sc;
   sc.name = "fading-reseed";
   sc.seed = 91;
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 91;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 91;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.2};
   sc.timeline.segment = units::Seconds{segment_seconds};
 
@@ -29,7 +32,6 @@ Scenario fading_scenario(double segment_seconds) {
   t.name = "walker";
   t.rate = tag::DataRate::k1600bps;
   t.num_bits = 96;
-  t.tag_power = units::Dbm{-25.0};
   t.distance_override = units::Feet{4.0};
   t.fading = channel::fading_for_mobility(channel::Mobility::kWalking);
   sc.tags.push_back(std::move(t));

@@ -87,7 +87,7 @@ TEST(ScenarioTimeline, SegmentingAStaticSceneIsBitIdentical) {
   EXPECT_EQ(b.segments.size(), 4U);  // 0.38 s total -> 4 x 0.1 s segments
   for (const auto& seg : b.segments) {
     ASSERT_EQ(seg.selected_station.size(), 1U);
-    EXPECT_EQ(seg.selected_station[0], a.selected_station[0]);
+    EXPECT_EQ(seg.selected_station[0], a.segments[0].selected_station[0]);
   }
   const audio::MonoBuffer& ma = a.receivers[0].capture.mono;
   const audio::MonoBuffer& mb = b.receivers[0].capture.mono;
@@ -126,22 +126,23 @@ TEST(ScenarioTimeline, WalkingTagHandsOffBetweenStations) {
     }
   }
   EXPECT_EQ(flips, 1);
-  // The legacy field reports the first segment.
-  EXPECT_EQ(r.selected_station[0], 0);
   // The early burst (while west-selected) still decodes on west's channel.
   ASSERT_EQ(r.best_per_tag.size(), 1U);
   EXPECT_EQ(r.best_per_tag[0].burst.ber.bit_errors, 0U);
 }
 
 TEST(ScenarioTimeline, BurstSpanningASegmentBoundaryDecodesSeamFree) {
-  // Legacy single-station scene, geometric link (no distance override): the
+  // One far-field station, geometric link (no distance override): the
   // tag walks away from the phone, so g_back really changes at every
   // segment boundary while one burst straddles two of them.
   Scenario sc;
   sc.name = "seam";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 81;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 81;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = 81;
   sc.duration = units::Seconds{0.4};
   sc.timeline.segment = units::Seconds{0.1};
@@ -149,7 +150,6 @@ TEST(ScenarioTimeline, BurstSpanningASegmentBoundaryDecodesSeamFree) {
   t.name = "walker";
   t.rate = tag::DataRate::k1600bps;
   t.num_bits = 128;  // 80 ms: starts in one segment, ends in the next
-  t.tag_power = units::Dbm{-25.0};
   t.position = {0.0, 0.0};
   t.waypoints = {{1.5, 0.0}};
   t.start = units::Seconds{0.05};  // absolute 0.13 -> payload spans the 0.2 s boundary
@@ -169,9 +169,12 @@ TEST(ScenarioTimeline, BurstSpanningASegmentBoundaryDecodesSeamFree) {
 Scenario contention_scene(tag::MacKind second_tag_mac) {
   Scenario sc;
   sc.name = "contention";
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 41;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 41;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = 41;
   sc.duration = units::Seconds{0.45};
   sc.timeline.segment = units::Seconds{0.1};
@@ -183,7 +186,6 @@ Scenario contention_scene(tag::MacKind second_tag_mac) {
     t.name.assign(1, i == 0 ? 'a' : 'b');
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 128;  // 80 ms on the air
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{3.0};
     t.position = {static_cast<double>(i), 0.0};  // 1 m apart: B hears A
     t.start = units::Seconds{starts[i]};
@@ -222,16 +224,18 @@ TEST(ScenarioMac, CarrierSenseAvoidsTheCollisionPureAlohaSuffers) {
 TEST(ScenarioMac, SlottedAlohaQuantizesTheStartInsideTheEngine) {
   Scenario sc;
   sc.name = "slotted";
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 43;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 43;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = 43;
   sc.duration = units::Seconds{0.4};
   ScenarioTag t;
   t.name = "s";
   t.rate = tag::DataRate::k1600bps;
   t.num_bits = 96;
-  t.tag_power = units::Dbm{-25.0};
   t.distance_override = units::Feet{3.0};
   t.start = units::Seconds{0.0};  // nominal absolute start 0.08 (the settle window)
   t.mac.kind = tag::MacKind::kSlottedAloha;

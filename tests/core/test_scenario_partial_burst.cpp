@@ -20,11 +20,13 @@ Scenario partial_burst_scene(double tag_start_seconds,
   Scenario sc;
   sc.name = "partial_burst";
   sc.duration = units::Seconds{0.5};  // plus 0.08 s settle: 0.58 s total
-  sc.station.program.stereo = false;
+  ScenarioStation station;
+  station.config.program.stereo = false;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   ScenarioTag tag;
   tag.name = "late";
   tag.num_bits = 64;
-  tag.tag_power = units::Dbm{-25.0};
   tag.distance_override = units::Feet{4.0};
   tag.start = units::Seconds{tag_start_seconds};
   tag.mac.kind = mac;

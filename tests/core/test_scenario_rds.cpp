@@ -17,15 +17,17 @@ Scenario radiotext_scenario(const std::string& text) {
   Scenario sc;
   sc.name = "rds-loopback";
   sc.seed = 71;
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 71;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 71;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.35};
 
   ScenarioTag t;
   t.name = "ad-poster";
   t.rds_radiotext = text;
-  t.tag_power = units::Dbm{-25.0};
   t.distance_override = units::Feet{4.0};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(phone_listening_to(sc.tags[0].subcarrier));
@@ -53,11 +55,13 @@ TEST(ScenarioRds, StationPsRecoveredOnTunedChannel) {
   Scenario sc;
   sc.name = "rds-station";
   sc.seed = 73;
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 73;
-  sc.station.rds_level = 0.06;
-  sc.station.rds_ps_name = "CITYRADI";
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 73;
+  station.config.rds_level = 0.06;
+  station.config.rds_ps_name = "CITYRADI";
+  sc.stations = {station};
   sc.duration = units::Seconds{0.45};  // >= 4 PS groups plus sync slack
 
   ScenarioReceiver radio;
@@ -80,9 +84,12 @@ TEST(ScenarioRds, RdsBurstDefersUnderCarrierSense) {
   Scenario sc;
   sc.name = "rds-lbt";
   sc.seed = 79;
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 79;
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 79;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.6};
   sc.timeline.segment = units::Seconds{0.1};
 
@@ -90,7 +97,6 @@ TEST(ScenarioRds, RdsBurstDefersUnderCarrierSense) {
   neighbor.name = "fsk-neighbor";
   neighbor.rate = tag::DataRate::k1600bps;
   neighbor.num_bits = 96;
-  neighbor.tag_power = units::Dbm{-25.0};
   neighbor.distance_override = units::Feet{4.0};
   neighbor.start = units::Seconds{0.0};
   sc.tags.push_back(std::move(neighbor));
@@ -98,7 +104,6 @@ TEST(ScenarioRds, RdsBurstDefersUnderCarrierSense) {
   ScenarioTag ad;
   ad.name = "ad-poster";
   ad.rds_radiotext = "GO!";  // 1 group, ~0.09 s burst
-  ad.tag_power = units::Dbm{-25.0};
   ad.distance_override = units::Feet{4.0};
   ad.start = units::Seconds{0.0};
   ad.mac.kind = tag::MacKind::kCarrierSense;

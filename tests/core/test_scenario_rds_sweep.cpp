@@ -21,17 +21,19 @@ Scenario sweep_point(double distance_ft) {
   Scenario sc;
   sc.name = "rds-sweep";
   sc.seed = 5;
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 5;
-  sc.station.rds_level = 0.05;
-  sc.station.rds_ps_name = "SWEEPFMX";
+  ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 5;
+  station.config.rds_level = 0.05;
+  station.config.rds_ps_name = "SWEEPFMX";
+  station.power = units::Dbm{-35.0};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.75};  // 8 RadioText groups at 1187.5 bps
 
   ScenarioTag t;
   t.name = "ad-poster";
   t.rds_radiotext = kAdText;
-  t.tag_power = units::Dbm{-35.0};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(phone_listening_to(sc.tags[0].subcarrier));

@@ -52,9 +52,11 @@ void expect_quiet_pad(std::uint64_t seed) {
   sc.settle = units::Seconds{0.08};
   sc.duration = units::Seconds{0.1};  // total 0.18 s = 1.8 blocks -> 0.02 s of pad
   sc.seed = seed;
-  sc.station.seed = seed;
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
+  ScenarioStation station;
+  station.config.seed = seed;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  sc.stations = {station};
 
   ScenarioReceiver rx;
   rx.name = "monitor";

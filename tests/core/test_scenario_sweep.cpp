@@ -18,16 +18,18 @@ namespace {
 Scenario one_tag_scenario(double power_dbm, double distance_ft) {
   Scenario sc;
   sc.name = "sweep-point";
-  sc.seed = 0;          // derived per grid cell by the seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
+  sc.seed = 0;  // derived per grid cell by the seed policy
+  ScenarioStation station;
+  station.config.seed = 0;  // pinned sweep-wide: one shared render
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.power = units::Dbm{power_dbm};
+  sc.stations = {station};
   sc.duration = units::Seconds{0.1};
   ScenarioTag t;
   t.name = "tag";
   t.rate = tag::DataRate::k1600bps;
   t.num_bits = 64;
-  t.tag_power = units::Dbm{power_dbm};
   t.distance_override = units::Feet{distance_ft};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(phone_listening_to(sc.tags[0].subcarrier));
@@ -37,13 +39,12 @@ Scenario one_tag_scenario(double power_dbm, double distance_ft) {
 TEST(ScenarioSweep, SeedPolicyDerivesScenarioAndPinsStationSeeds) {
   SweepConfig config{.threads = 1, .base_seed = 55};
   Scenario sc = one_tag_scenario(-30.0, 4.0);
-  sc.stations.push_back(ScenarioStation{});
-  sc.stations[0].config.seed = 0;  // the "derive me" sentinel
+  ASSERT_EQ(sc.stations[0].config.seed, 0U);  // the "derive me" sentinel
   sc.stations.push_back(ScenarioStation{});
   sc.stations[1].config.seed = 777;  // explicit seed must survive
   apply_scenario_seed_policy(sc, 3, config);
   EXPECT_EQ(sc.seed, derive_seed(55, 3));
-  EXPECT_EQ(sc.station.seed, 55U);  // legacy station pinned to base
+  EXPECT_EQ(sc.stations[0].config.seed, 55U);  // station 0 pinned to base
   EXPECT_NE(sc.stations[0].config.seed, 0U);
   EXPECT_EQ(sc.stations[1].config.seed, 777U);
 
@@ -51,11 +52,12 @@ TEST(ScenarioSweep, SeedPolicyDerivesScenarioAndPinsStationSeeds) {
   // stations get distinct content).
   Scenario again = one_tag_scenario(-30.0, 4.0);
   again.stations.push_back(ScenarioStation{});
-  again.stations[0].config.seed = 0;
+  again.stations[1].config.seed = 0;
   apply_scenario_seed_policy(again, 3, config);
   EXPECT_EQ(again.seed, sc.seed);
   EXPECT_EQ(again.stations[0].config.seed, sc.stations[0].config.seed);
-  EXPECT_NE(again.stations[0].config.seed, again.station.seed);
+  EXPECT_NE(again.stations[1].config.seed, 0U);
+  EXPECT_NE(again.stations[1].config.seed, again.stations[0].config.seed);
 
   // Explicit scenario seeds pass through untouched.
   Scenario pinned = one_tag_scenario(-30.0, 4.0);
@@ -67,7 +69,7 @@ TEST(ScenarioSweep, SeedPolicyDerivesScenarioAndPinsStationSeeds) {
   SweepConfig own{.threads = 1, .base_seed = 55, .share_station_renders = false};
   Scenario unshared = one_tag_scenario(-30.0, 4.0);
   apply_scenario_seed_policy(unshared, 3, own);
-  EXPECT_EQ(unshared.station.seed, unshared.seed);
+  EXPECT_EQ(unshared.stations[0].config.seed, unshared.seed);
 }
 
 // The acceptance property: the same scenario grid is bit-identical at 1, 2
@@ -116,6 +118,7 @@ TEST(ScenarioSweep, RepeatedMultiStationSweepHitsAtLeastMisses) {
 
   auto make_scene = [] {
     Scenario sc = one_tag_scenario(-30.0, 4.0);
+    sc.stations.clear();  // replaced by the three-station band below
     for (int s = 0; s < 3; ++s) {
       ScenarioStation st;
       st.name = "st" + std::to_string(s);
@@ -231,6 +234,7 @@ TEST(ScenarioSweep, SegmentedSweepIsBitIdenticalAcrossThreadCounts) {
 Scenario pruned_city_scene(double distance_ft) {
   Scenario sc = one_tag_scenario(-30.0, distance_ft);
   sc.name = "pruned-point";
+  sc.stations.clear();  // replaced by the five-station band below
   const double offsets[5] = {0.0, 200e3, -800e3, 800e3, -1000e3};
   for (int s = 0; s < 5; ++s) {
     ScenarioStation st;
@@ -280,7 +284,8 @@ TEST(ScenarioSweep, SparseLazyRenderIsBitIdenticalAcrossThreadCounts) {
           EXPECT_EQ(serial[i].best_per_tag[0].goodput_bps,
                     other[i].best_per_tag[0].goodput_bps)
               << threads << "t," << i;
-          EXPECT_EQ(serial[i].selected_station, other[i].selected_station)
+          EXPECT_EQ(serial[i].segments[0].selected_station,
+                    other[i].segments[0].selected_station)
               << threads << "t," << i;
         }
       });

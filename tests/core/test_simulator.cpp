@@ -22,8 +22,8 @@ dsp::rvec tone_baseband(double freq, double seconds) {
 Scenario quiet_scene(const dsp::rvec& baseband, double seconds) {
   Scenario sc = test::one_tag_scene(baseband, units::Seconds{seconds},
                                     units::Dbm{-20.0}, units::Feet{4.0});
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = audio::ProgramGenre::kSilence;
+  sc.stations[0].config.program.stereo = false;
   return sc;
 }
 
@@ -40,7 +40,7 @@ TEST(Simulator, OutputLengthsConsistent) {
   EXPECT_NEAR(mono_of(r).duration_seconds(), 0.5, 0.05);
   EXPECT_EQ(mono_of(r).sample_rate, fm::kAudioRate);
   EXPECT_EQ(r.receivers.size(), 1U);
-  EXPECT_EQ(r.station->program.sample_rate, fm::kAudioRate);
+  EXPECT_EQ(r.station_renders[0]->program.sample_rate, fm::kAudioRate);
 }
 
 TEST(Simulator, AmbientCaptureOptional) {
@@ -65,7 +65,7 @@ TEST(Simulator, BackscatterPowerTracksBudget) {
 
 TEST(Simulator, ToneSnrDropsWithDistance) {
   Scenario sc = quiet_tone_scene(1000.0, 0.6);
-  sc.tags[0].tag_power = units::Dbm{-50.0};
+  sc.stations[0].power = units::Dbm{-50.0};
   const ScenarioResult near = ScenarioEngine().run(sc);
   sc.tags[0].distance_override = units::Feet{20.0};
   const ScenarioResult far = ScenarioEngine().run(sc);
@@ -88,7 +88,7 @@ TEST(Simulator, DeterministicPerSeeds) {
 
 TEST(Simulator, NoiseSeedChangesRealization) {
   Scenario sc = quiet_tone_scene(2000.0, 0.2);
-  sc.tags[0].tag_power = units::Dbm{-60.0};  // noise-visible regime
+  sc.stations[0].power = units::Dbm{-60.0};  // noise-visible regime
   const ScenarioResult a = ScenarioEngine().run(sc);
   sc.seed = 777;
   sc.receivers[0].noise_seed = 777;
@@ -153,7 +153,7 @@ TEST(Simulator, CaptureIsDeviceChainOfReceiverAudio) {
 
 TEST(Simulator, FadingReducesMeanSnr) {
   Scenario sc = quiet_tone_scene(1000.0, 0.8);
-  sc.tags[0].tag_power = units::Dbm{-55.0};
+  sc.stations[0].power = units::Dbm{-55.0};
   sc.tags[0].distance_override = units::Feet{8.0};
   const ScenarioResult still = ScenarioEngine().run(sc);
   sc.tags[0].fading = channel::fading_for_mobility(channel::Mobility::kRunning);

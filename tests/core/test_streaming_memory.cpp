@@ -19,9 +19,11 @@ Scenario soak_scene(double duration_seconds) {
   Scenario sc;
   sc.name = "soak";
   sc.duration = units::Seconds{duration_seconds};
-  sc.station.program.stereo = false;
-  sc.station.rds_level = 0.04;
-  sc.station.rds_ps_name = "SOAKTEST";
+  ScenarioStation station;
+  station.config.program.stereo = false;
+  station.config.rds_level = 0.04;
+  station.config.rds_ps_name = "SOAKTEST";
+  sc.stations = {station};
   ScenarioTag tag;
   tag.name = "poster";
   tag.num_bits = 96;

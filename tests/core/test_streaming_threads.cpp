@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,41 @@ TEST(StreamingThreads, RejectsDegenerateConfig) {
   StreamingConfig zero_ring;
   zero_ring.ring_blocks = 0;
   EXPECT_THROW(StreamingEngine{zero_ring}, std::invalid_argument);
+
+  // NaN compares false against every bound: a NaN horizon would silently
+  // turn loop mode off, so memory would grow with the run. Non-finite
+  // bounds are rejected up front, naming the field.
+  auto expect_rejected = [](const StreamingConfig& cfg,
+                            const std::string& field) {
+    try {
+      const StreamingEngine engine(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  StreamingConfig zero_horizon;
+  zero_horizon.station_horizon = units::Seconds{0.0};
+  expect_rejected(zero_horizon, "station_horizon");
+#ifdef NDEBUG
+  // Strong unit types assert finiteness at construction when assertions are
+  // live, so a non-finite Seconds only reaches the engine in release builds.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    StreamingConfig horizon;
+    horizon.station_horizon = units::Seconds{bad};
+    expect_rejected(horizon, "station_horizon");
+    StreamingConfig window;
+    window.decision_window = units::Seconds{bad};
+    expect_rejected(window, "decision_window");
+  }
+#endif
+  // A non-positive window stays legal: it buffers the whole run.
+  StreamingConfig whole_run;
+  whole_run.decision_window = units::Seconds{-1.0};
+  EXPECT_NO_THROW(StreamingEngine{whole_run});
 }
 
 }  // namespace

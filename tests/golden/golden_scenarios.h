@@ -18,9 +18,12 @@ namespace fmbs::golden {
 inline core::Scenario solo_poster() {
   core::Scenario sc;
   sc.name = "solo_poster";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 21;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 21;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = 21;
   sc.duration = units::Seconds{0.25};
   core::ScenarioTag t;
@@ -28,7 +31,6 @@ inline core::Scenario solo_poster() {
   t.rate = tag::DataRate::k1600bps;
   t.num_bits = 320;
   t.packet_bits = 80;
-  t.tag_power = units::Dbm{-25.0};
   t.distance_override = units::Feet{4.0};
   sc.tags.push_back(std::move(t));
   sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));
@@ -40,9 +42,12 @@ inline core::Scenario solo_poster() {
 inline core::Scenario city_disjoint() {
   core::Scenario sc;
   sc.name = "city_disjoint";
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 23;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 23;
+  station.power = units::Dbm{-32.0};
+  sc.stations = {station};
   sc.seed = 23;
   sc.duration = units::Seconds{0.2};
   const auto plan = tag::plan_subcarrier_channels(4);
@@ -53,7 +58,6 @@ inline core::Scenario city_disjoint() {
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 128;
     t.packet_bits = 64;
-    t.tag_power = units::Dbm{-32.0};
     t.distance_override = units::Feet{5.0};
     sc.tags.push_back(std::move(t));
   }
@@ -67,9 +71,12 @@ inline core::Scenario city_disjoint() {
 inline core::Scenario aloha_burst() {
   core::Scenario sc;
   sc.name = "aloha_burst";
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  sc.station.seed = 31;
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kSilence;
+  station.config.program.stereo = false;
+  station.config.seed = 31;
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
   sc.seed = 31;
   sc.duration = units::Seconds{0.3};
   const double starts[3] = {0.0, 0.02, 0.18};
@@ -78,7 +85,6 @@ inline core::Scenario aloha_burst() {
     t.name = "node" + std::to_string(i);
     t.rate = tag::DataRate::k1600bps;
     t.num_bits = 96;
-    t.tag_power = units::Dbm{-25.0};
     t.distance_override = units::Feet{3.0};
     t.start = units::Seconds{starts[i]};
     sc.tags.push_back(std::move(t));
@@ -205,18 +211,20 @@ inline core::Scenario rds_city() {
   sc.name = "rds_city";
   sc.seed = 59;
   sc.duration = units::Seconds{0.3};
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 59;
-  sc.station.rds_level = 0.05;
-  sc.station.rds_ps_name = "GOLDENFM";
+  core::ScenarioStation station;
+  station.config.program.genre = audio::ProgramGenre::kNews;
+  station.config.program.stereo = false;
+  station.config.seed = 59;
+  station.config.rds_level = 0.05;
+  station.config.rds_ps_name = "GOLDENFM";
+  station.power = units::Dbm{-25.0};
+  sc.stations = {station};
 
   const auto plan = tag::plan_subcarrier_channels(2);
   core::ScenarioTag ad;
   ad.name = "ad-poster";
   ad.subcarrier = plan[0].subcarrier;
   ad.rds_radiotext = "RDS CITY";  // 3 groups, ~0.26 s burst
-  ad.tag_power = units::Dbm{-25.0};
   ad.distance_override = units::Feet{4.0};
   core::ScenarioTag sign;
   sign.name = "fsk-sign";
@@ -224,7 +232,6 @@ inline core::Scenario rds_city() {
   sign.rate = tag::DataRate::k1600bps;
   sign.num_bits = 128;
   sign.packet_bits = 64;
-  sign.tag_power = units::Dbm{-25.0};
   sign.distance_override = units::Feet{5.0};
   sc.tags = {ad, sign};
 

@@ -63,7 +63,6 @@ void expect_equivalent(const core::Scenario& sc) {
   EXPECT_GE(sparse.scene.stations_rendered, 1U);  // station 0 always renders
 
   // Geometry and handoffs.
-  EXPECT_EQ(sparse.selected_station, dense.selected_station);
   ASSERT_EQ(sparse.segments.size(), dense.segments.size());
   for (std::size_t k = 0; k < sparse.segments.size(); ++k) {
     EXPECT_EQ(sparse.segments[k].start_seconds,
@@ -136,7 +135,7 @@ TEST(SparseDenseEquivalence, FarStationsArePruned) {
   sc.name = "far_stations";
   core::ScenarioStation center;
   center.name = "center";
-  center.config = sc.station;
+  center.config = sc.stations[0].config;
   center.offset = units::Hertz{0.0};
   center.power = units::Dbm{-28.0};
   core::ScenarioStation far_a;

@@ -69,7 +69,6 @@ void expect_equivalent(const core::Scenario& sc, std::size_t consumer_threads) {
   EXPECT_EQ(batch.scene.streaming_peak_buffer_bytes, 0U);
 
   // Geometry and handoffs.
-  EXPECT_EQ(stream.selected_station, batch.selected_station);
   ASSERT_EQ(stream.segments.size(), batch.segments.size());
   for (std::size_t k = 0; k < stream.segments.size(); ++k) {
     EXPECT_EQ(stream.segments[k].start_seconds,

@@ -34,8 +34,8 @@ TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
   const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
   core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
                                           units::Dbm{-20.0}, units::Feet{4.0});
-  sc.station.program.genre = ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = ProgramGenre::kSilence;
+  sc.stations[0].config.program.stereo = false;
   const core::ScenarioResult result = core::ScenarioEngine().run(sc);
 
   const auto& mono = result.receivers[0].capture.mono;
@@ -54,9 +54,9 @@ TEST(EndToEnd, OverlayPreservesBothProgramAndBackscatter) {
   const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
   core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
                                           units::Dbm{-20.0}, units::Feet{4.0});
-  sc.station.program.genre = ProgramGenre::kNews;
-  sc.station.program.stereo = false;
-  sc.station.seed = 11;
+  sc.stations[0].config.program.genre = ProgramGenre::kNews;
+  sc.stations[0].config.program.stereo = false;
+  sc.stations[0].config.seed = 11;
   const core::ScenarioResult result = core::ScenarioEngine().run(sc);
   const auto& mono = result.receivers[0].capture.mono;
 

@@ -58,8 +58,8 @@ TEST(Extensions, RdsBackscatterCarriesStationText) {
   const auto bb = tag::compose_rds_baseband(bits, num_samples, 0.3);
   core::Scenario sc = test::one_tag_scene(bb, units::Seconds{duration},
                                           units::Dbm{-25.0}, units::Feet{3.0});
-  sc.station.program.genre = ProgramGenre::kNews;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = ProgramGenre::kNews;
+  sc.stations[0].config.program.stereo = false;
   const core::ScenarioResult result = core::ScenarioEngine().run(sc);
 
   const auto rds =
@@ -77,8 +77,8 @@ TEST(Extensions, SingleSidebandEquivalentInChannel) {
   const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
   core::Scenario base =
       core::experiment_scenario(point, bb, units::Seconds{1.0});
-  base.station.program.genre = ProgramGenre::kSilence;
-  base.station.program.stereo = false;
+  base.stations[0].config.program.genre = ProgramGenre::kSilence;
+  base.stations[0].config.program.stereo = false;
 
   auto snr_for = [&](tag::SubcarrierMode mode) {
     core::Scenario sc = base;
@@ -103,8 +103,8 @@ TEST(Extensions, NegativeShiftBackscatterWorks) {
   const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
   core::Scenario sc = test::one_tag_scene(bb, units::Seconds{1.0},
                                           units::Dbm{-25.0}, units::Feet{4.0});
-  sc.station.program.genre = ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
+  sc.stations[0].config.program.genre = ProgramGenre::kSilence;
+  sc.stations[0].config.program.stereo = false;
   sc.tags[0].subcarrier.shift = units::Hertz{-600000.0};
   sc.receivers[0].tune_offset = sc.tags[0].subcarrier.shift;
   const core::ScenarioResult result = core::ScenarioEngine().run(sc);

@@ -10,11 +10,11 @@
 namespace fmbs::test {
 
 /// A one-tag, one-phone Scenario: `baseband` (FM_back at the MPX rate) as the
-/// tag's always-on switch waveform, `tag_power` at the tag, `distance` from
-/// tag to phone, no settle window, and noise seed 42 (fading seed 43). The
-/// receiver noise floor is pinned to the phone's, so switching
+/// tag's always-on switch waveform, one far-field station at `tag_power`,
+/// `distance` from tag to phone, no settle window, and noise seed 42 (fading
+/// seed 43). The receiver noise floor is pinned to the phone's, so switching
 /// `receivers[0].kind` to a car changes only the device chain. Tests adjust
-/// the default station (`sc.station`) and the entities before running it.
+/// the station (`sc.stations[0]`) and the entities before running it.
 inline core::Scenario one_tag_scene(const dsp::rvec& baseband,
                                     units::Seconds duration,
                                     units::Dbm tag_power,
@@ -23,10 +23,12 @@ inline core::Scenario one_tag_scene(const dsp::rvec& baseband,
   sc.settle = units::Seconds{0.0};
   sc.duration = duration;
   sc.seed = 42;
+  core::ScenarioStation station;
+  station.power = tag_power;
+  sc.stations = {station};
 
   core::ScenarioTag t;
   t.custom_baseband = baseband;
-  t.tag_power = tag_power;
   t.distance_override = distance;
   t.fading_seed = 43;
   sc.tags.push_back(std::move(t));
