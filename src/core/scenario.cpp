@@ -316,10 +316,20 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
             "offset must be finite");
     require(!st.position || finite_path(*st.position, {}), "station", st.name,
             "position must be finite");
+    require(std::isfinite(st.config.deviation.raw()) &&
+                st.config.deviation.raw() > 0.0,
+            "station", st.name, "config.deviation must be finite and > 0");
+    require(std::isfinite(st.config.rds_level) && st.config.rds_level >= 0.0,
+            "station", st.name, "config.rds_level must be finite and >= 0");
+    require(std::isfinite(st.config.program.ambience_level) &&
+                st.config.program.ambience_level >= 0.0,
+            "station", st.name,
+            "config.program.ambience_level must be finite and >= 0");
   }
   for (const ScenarioTag& t : sc.tags) {
     require(finite_path(t.position, t.waypoints), "tag", t.name,
             "position must be finite");
+    require(std::isfinite(t.level), "tag", t.name, "level must be finite");
     require(!t.distance_override ||
                 (std::isfinite(t.distance_override->raw()) &&
                  t.distance_override->raw() > 0.0),
@@ -330,6 +340,10 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
             "position must be finite");
     require(!rx.noise_200khz || std::isfinite(rx.noise_200khz->raw()),
             "receiver", rx.name, "noise_200khz must be finite");
+    require(std::isfinite(rx.tune_offset.raw()), "receiver", rx.name,
+            "tune_offset must be finite");
+    require(!rx.rx_antenna_gain || std::isfinite(rx.rx_antenna_gain->raw()),
+            "receiver", rx.name, "rx_antenna_gain must be finite");
   }
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
@@ -341,8 +355,9 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   // segment boundaries, so captures — and the bursts demodulated out of
   // them — are seam-free by construction.
   const double seg_len = sc.timeline.segment.raw();
-  if (seg_len < 0.0) {
-    throw std::invalid_argument("ScenarioEngine: negative segment length");
+  if (!std::isfinite(seg_len) || seg_len < 0.0) {
+    throw std::invalid_argument(
+        "ScenarioEngine: timeline.segment must be finite and >= 0");
   }
   if (seg_len > 0.0) {
     const double blocks = seg_len / kBlockSeconds;

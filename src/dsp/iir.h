@@ -1,5 +1,5 @@
-// Small IIR building blocks: RBJ biquads, one-pole smoothers, and a DC
-// blocker. Used for de-emphasis, pilot extraction and audio shaping.
+// Small IIR building blocks: RBJ biquads and one-pole smoothers. Used for
+// de-emphasis, pilot extraction and audio shaping.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@ BiquadCoeffs biquad_lowpass(double frequency, double q);
 BiquadCoeffs biquad_highpass(double frequency, double q);
 BiquadCoeffs biquad_bandpass(double frequency, double q);
 BiquadCoeffs biquad_notch(double frequency, double q);
-BiquadCoeffs biquad_peak(double frequency, double q, double gain_db);
 
 /// Streaming transposed-direct-form-II biquad.
 class Biquad {
@@ -79,20 +78,6 @@ class OnePoleLowpass {
  private:
   double alpha_;
   double state_ = 0.0;
-};
-
-/// DC blocker: y[n] = x[n] - x[n-1] + r y[n-1].
-class DcBlocker {
- public:
-  explicit DcBlocker(double r = 0.995);
-  float process_sample(float x);
-  std::vector<float> process(std::span<const float> in);
-  void reset();
-
- private:
-  double r_;
-  double prev_x_ = 0.0;
-  double prev_y_ = 0.0;
 };
 
 }  // namespace fmbs::dsp

@@ -14,8 +14,6 @@ double db_from_power_ratio(double ratio) {
   return units::Db::from_power_ratio(ratio).raw();
 }
 
-double power_ratio_from_db(double db) { return units::Db{db}.power_ratio(); }
-
 double db_from_amplitude_ratio(double ratio) {
   return units::Db::from_amplitude_ratio(ratio).raw();
 }

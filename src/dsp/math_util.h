@@ -17,9 +17,6 @@ inline constexpr double kTwoPi = 2.0 * kPi;
 /// printing stay well defined.
 double db_from_power_ratio(double ratio);
 
-/// Converts decibels to a linear power ratio.
-double power_ratio_from_db(double db);
-
 /// Converts a linear amplitude ratio to decibels (20 log10).
 double db_from_amplitude_ratio(double ratio);
 

