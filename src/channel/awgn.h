@@ -7,8 +7,8 @@
 // the stream was cut into add_to() calls or on any earlier block — a block
 // can be rendered without first rendering the ones before it. The Gaussian
 // kernel is written out in dsp/simd.h (polynomial log and sincos) instead of
-// using std::normal_distribution, whose algorithm differs between standard
-// libraries; the SSE2 and scalar builds produce the same bits.
+// using the normal distribution of <random>, whose algorithm differs between
+// standard libraries; the SSE2 and scalar builds produce the same bits.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 // Resampling helpers. The cooperative-backscatter receiver follows the paper
 // exactly: "we resample the signals on the two phones, in software, by a
-// factor of ten" before cross-correlating, which upsample_linear provides. Rational resampling covers audio-rate conversion.
+// factor of ten" before cross-correlating, which upsample_linear provides.
+// Rational resampling covers audio-rate conversion.
 #pragma once
 
 #include <cstddef>

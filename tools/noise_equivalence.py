@@ -50,8 +50,8 @@ FIG08_BITS = {"Fig 8a": 200, "Fig 8b": 640, "Fig 8c": 960}
 RDS_BLOCKS = 32  # 8 RadioText groups x 4 blocks
 
 
-def run(cmd, cwd=None):
-    return subprocess.run(cmd, cwd=cwd, check=True, text=True,
+def run(cmd):
+    return subprocess.run(cmd, check=True, text=True,
                           stdout=subprocess.PIPE).stdout
 
 
@@ -200,7 +200,6 @@ def main():
     ap.add_argument("--base-build", help="reuse this build of the base")
     ap.add_argument("--head-build", help="reuse this build of the head")
     ap.add_argument("--jobs", type=int, default=2)
-    ap.add_argument("--skip-calibrate", action="store_true")
     args = ap.parse_args()
 
     base_build = args.base_build or build(
@@ -215,11 +214,9 @@ def main():
         g, f = compare_bench(bench, *outs)
         gated += g
         failures += f
-    moved = []
-    if not args.skip_calibrate:
-        outs = [run([os.path.join(b, "bench_fleet_capacity"), "--calibrate"])
-                for b in (base_build, head_build)]
-        moved = compare_calibration(*outs)
+    outs = [run([os.path.join(b, "bench_fleet_capacity"), "--calibrate"])
+            for b in (base_build, head_build)]
+    moved = compare_calibration(*outs)
     print(f"\n{gated - failures}/{gated} gated points inside the other "
           f"engine's band; calibration moved for: {', '.join(moved) or 'none'}")
     return 0 if failures == 0 else 1
